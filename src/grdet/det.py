@@ -14,7 +14,9 @@ Four routes to log-determinant data live here:
                         Fuglede-Kadison determinant of an invertible
                         group-ring element: normalized log-determinants of
                         window compressions, and exactly traced Chebyshev
-                        approximants of log on a spectral enclosure;
+                        approximants of log on a spectral enclosure, whose
+                        moments come from a vectorized power walk on int64
+                        coordinate arrays with residues modulo primes;
   * build_perturbed_compression / perturbation_study
                      -- low-rank rational perturbations of compressions
                         with norm-controlled transfer blocks, which keep
@@ -23,6 +25,7 @@ Four routes to log-determinant data live here:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -397,118 +400,211 @@ def fk_finite_sections(
 # ---------------------------------------------------------------------------
 # polynomial traces
 
-def _trace_moments(f: RingElement, count: int) -> list:
-    """Exact m_j = tr((f* f)^j) for j = 0..count.
+# Both trace routes walk the powers of a fixed element s on coordinate
+# arrays (groups.CoordinateArrays).  The support of s^k is a groups.KeyIndex;
+# one step (KeyIndex.translates) finds the support of s^(k+1) and, for each
+# term of s, the rows its translates land on.  Coefficients ride along as
+# int64 residues modulo primes below 2^31 (exact route, rebuilt by CRT) or
+# as complex128 (float route), added term by term in the order of s's terms.
 
-    Self-adjoint f: m_j = tr(f^{2j}) = sum_g (f^j)_g * conj((f^j)_g), so one
-    pass over powers of f suffices.  Otherwise iterate powers of g = f* f
-    (self-adjoint) and pair consecutive powers:
-    m_{2k} = sum |(g^k)_g|^2 and m_{2k+1} = sum (g^k)_g conj((g^{k+1})_g).
-    Plain-tuple dict convolution keeps this fast enough for supports in the
-    millions.
+def _is_prime(n: int) -> bool:
+    # deterministic Miller-Rabin: bases 2, 3, 5, 7 decide every n < 3.2e9
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7):
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _crt_primes(count: int) -> tuple:
+    """The count largest primes below 2^31, descending.
+
+    Residues stay below 2^31, so a product of two fits in int64.
     """
-    desc = f.descriptor
-    mul = groups.coordinate_multiplier(desc)
-    conj = (lambda v: v.conjugate()) if f.domain == ring.COMPLEX else (lambda v: v)
+    primes = []
+    n = (1 << 31) - 1
+    while len(primes) < count:
+        if _is_prime(n):
+            primes.append(n)
+        n -= 2
+    return tuple(primes)
 
-    def convolve_raw(small, v):
-        out: dict = {}
-        get = out.get
-        for sc, c1 in small:
-            for gc, c2 in v.items():
-                key = mul(sc, gc)
-                out[key] = get(key, 0) + c1 * c2
-        return out
 
-    ident = groups.identity(desc).coords
-    if ring.is_self_adjoint(f):
-        small = [(g.coords, v) for g, v in f.sorted_terms()]
-        v = {ident: ring._coerce(1, f.domain)}
-        moments = []
+def _crt_symmetric(residues, primes) -> int:
+    """The integer of least magnitude with the given residues."""
+    modulus = math.prod(primes)
+    x = 0
+    for r, p in zip(residues, primes):
+        q = modulus // p
+        x += r * q * pow(q, -1, p)
+    x %= modulus
+    return x - modulus if 2 * x > modulus else x
+
+
+def _integer_trace_moments(f: RingElement, count: int):
+    """(D, [M_0, ..., M_count]) with tr((f* f)^j) = M_j / D^(2j), D f integral.
+
+    Self-adjoint f: M_j = sum_g (F^j)_g^2 for F = D f, so one walk over
+    powers of F suffices.  Otherwise walk powers of G = F* F and pair
+    consecutive ones: M_2k = sum (G^k)_g^2 and M_2k+1 = sum (G^k)_g
+    (G^(k+1))_g, where keys of G^k missing from G^(k+1) contribute 0.
+    Every |M_j| <= |F|_1^(2j), which fixes the number of primes.
+    """
+    if f.domain not in (ring.INT, ring.RATIONAL):
+        raise DomainError("exact trace moments need an exact scalar domain")
+    D = math.lcm(*(Fraction(v).denominator for v in f.terms.values()))
+    F = ring.ring_element(f.descriptor, {g: int(v * D) for g, v in f.terms.items()}, ring.INT)
+    self_adjoint = ring.is_self_adjoint(F)
+    s = F if self_adjoint else ring.convolve(ring.adjoint(F), F)
+    terms = s.sorted_terms()
+    bound = max(1, sum(abs(v) for v in F.terms.values())) ** (2 * count)
+    # every prime exceeds 2^30, so their product exceeds 4 * bound
+    primes = _crt_primes(-(-(bound.bit_length() + 2) // 30))
+    P = np.array(primes, dtype=np.int64)[:, None]
+    coeffs = np.array([[v % p for _, v in terms] for p in primes], dtype=np.int64)
+    arrays = groups.CoordinateArrays(f.descriptor)
+    S = arrays.rows(g.coords for g, _ in terms)
+
+    def step(support, V):
+        nxt, pos = groups.KeyIndex.translates(arrays, S, support)
+        at, size = pos.reshape(-1), len(nxt.rows)
+        acc = np.empty((len(primes), size), dtype=np.int64)
+        for i, p in enumerate(primes):
+            # each sum has at most len(S) terms below 2^31, exact in float64
+            w = coeffs[i][:, None] * V[i][None, :] % p
+            acc[i] = np.bincount(at, weights=w.reshape(-1).astype(np.float64), minlength=size)
+        return nxt, acc % P
+
+    def dot(A, B):
+        return ((A * B % P).sum(axis=1) % P[:, 0]).tolist()
+
+    support = groups.KeyIndex(arrays.rows([groups.identity(f.descriptor).coords]))
+    V = np.ones((len(primes), 1), dtype=np.int64)
+    residues = [None] * (count + 1)
+    if self_adjoint:
         for j in range(count + 1):
             if j:
-                v = convolve_raw(small, v)
-            moments.append(sum(c * conj(c) for c in v.values()))
-        return moments
+                support, V = step(support, V)
+            residues[j] = dot(V, V)
+    else:
+        for k in range((count + 1) // 2 + 1):
+            if k:
+                prev, W = support, V
+                support, V = step(support, V)
+                if 2 * k - 1 <= count:
+                    at = support.find(prev.rows)
+                    hit = at >= 0
+                    residues[2 * k - 1] = dot(W[:, hit], V[:, at[hit]])
+            if 2 * k <= count:
+                residues[2 * k] = dot(V, V)
+    return D, [_crt_symmetric(r, primes) for r in residues]
 
-    g = ring.convolve(ring.adjoint(f), f)
-    small = [(h.coords, v) for h, v in g.sorted_terms()]
-    half = (count + 1) // 2
-    moments = [None] * (count + 1)
-    prev = None
-    cur = {ident: ring._coerce(1, g.domain)}
-    for k in range(half + 1):
-        if k:
-            prev, cur = cur, convolve_raw(small, cur)
-        if 2 * k <= count:
-            moments[2 * k] = sum(c * conj(c) for c in cur.values())
-        if k and 2 * k - 1 <= count and moments[2 * k - 1] is None:
-            moments[2 * k - 1] = sum(c * conj(cur.get(gc, 0)) for gc, c in prev.items())
-    return moments
+
+def _trace_moments(f: RingElement, count: int) -> list:
+    """Exact m_j = tr((f* f)^j) for j = 0..count, as ints or Fractions."""
+    D, moments = _integer_trace_moments(f, count)
+    if f.domain == ring.INT:
+        return moments
+    return [Fraction(m, D ** (2 * j)) for j, m in enumerate(moments)]
+
+
+def _chebyshev_traces_exact(f: RingElement, a: Fraction, b: Fraction, degree: int) -> list:
+    """tr T~_k(f* f) for k <= degree, each rounded once from its exact value.
+
+    With a = A/d, b = B/d, S = A + B and L = B - A, the scaled Chebyshev
+    polynomial is T_k((2x - (a+b)) / (b-a)) = P_k(x) / L^k for the integer
+    polynomials P_0 = 1, P_1 = 2dx - S, P_k+1 = 2(2dx - S) P_k - L^2 P_k-1.
+    The moments are M_j / q^j with q = D^2, so
+    tr T~_k = sum_j P_k[j] M_j q^(k-j) / (L q)^k.
+    """
+    D, moments = _integer_trace_moments(f, degree)
+    q = D * D
+    d = math.lcm(a.denominator, b.denominator)
+    A, B = int(a * d), int(b * d)
+    S, L = A + B, B - A
+    traces = []
+    prev, cur = [], [1]
+    for k in range(degree + 1):
+        if k == 1:
+            prev, cur = cur, [-S, 2 * d]
+        elif k:
+            nxt = [0] * (k + 1)
+            for i, c in enumerate(cur):
+                nxt[i] -= 2 * S * c
+                nxt[i + 1] += 4 * d * c
+            for i, c in enumerate(prev):
+                nxt[i] -= L * L * c
+            prev, cur = cur, nxt
+        num = sum(c * moments[j] * q ** (k - j) for j, c in enumerate(cur))
+        # int / int rounds correctly, like float(Fraction(num, den))
+        traces.append(num / (L * q) ** k)
+    return traces
 
 
 def _chebyshev_traces_float(f: RingElement, a: float, b: float, degree: int) -> list:
     """tr T~_k(f* f) for k <= degree, complex-float domain.
 
     Uses the three-term recurrence P_{k+1} = 2 s P_k - P_{k-1} with
-    s = (2 f*f - (a+b) e) / (b-a) directly on ring elements; the recurrence
-    is the numerically stable way to evaluate Chebyshev polynomials, and
-    all coefficients stay bounded when [a, b] encloses the spectrum.
+    s = (2 f*f - (a+b) e) / (b-a) directly on group-ring coefficients; the
+    recurrence is the numerically stable way to evaluate Chebyshev
+    polynomials, and all coefficients stay bounded when [a, b] encloses the
+    spectrum.
     """
     desc = f.descriptor
-    mul = groups.coordinate_multiplier(desc)
     g = ring.convolve(ring.adjoint(f), f)
     ident = groups.identity(desc).coords
     s = {h.coords: 2.0 * complex(v) / (b - a) for h, v in g.sorted_terms()}
     s[ident] = s.get(ident, 0.0) - (a + b) / (b - a)
     s_terms = sorted(s.items())
+    arrays = groups.CoordinateArrays(desc)
+    S = arrays.rows(c for c, _ in s_terms)
+    coeffs = [complex(v) for _, v in s_terms]
+    e = arrays.rows([ident])
 
-    def conv(v):
-        out: dict = {}
-        get = out.get
-        for sc, c1 in s_terms:
-            for gc, c2 in v.items():
-                key = mul(sc, gc)
-                out[key] = get(key, 0.0) + c1 * c2
-        return out
+    def trace(support, V):
+        (at,) = support.find(e)
+        return V[at].real if at >= 0 else 0.0
 
-    prev = {ident: 1.0 + 0.0j}
+    prev, P = groups.KeyIndex(e), np.ones(1, dtype=np.complex128)
     traces = [1.0]
     if degree >= 1:
-        cur = dict(s_terms)
-        traces.append(complex(cur.get(ident, 0.0)).real)
+        cur, C = groups.KeyIndex(S), np.array(coeffs, dtype=np.complex128)
+        traces.append(trace(cur, C))
         for _ in range(2, degree + 1):
-            nxt = {k: 2.0 * v for k, v in conv(cur).items()}
-            for k, v in prev.items():
-                nxt[k] = nxt.get(k, 0.0) - v
-            prev, cur = cur, nxt
-            traces.append(complex(cur.get(ident, 0.0)).real)
-    return traces
-
-
-def _scaled_chebyshev_coeffs(a: Fraction, b: Fraction, degree: int) -> list:
-    """Exact monomial coefficients of T_k((2x - (a+b)) / (b-a)), k <= degree."""
-    s, ell = a + b, b - a
-    u = [Fraction(-s, ell), Fraction(2, ell)]
-    polys = [[Fraction(1)], list(u)]
-    for _ in range(2, degree + 1):
-        prod = [Fraction(0)] * (len(polys[-1]) + 1)
-        for i, ci in enumerate(polys[-1]):
-            prod[i] += u[0] * ci
-            prod[i + 1] += u[1] * ci
-        nxt = [2 * c for c in prod]
-        for i, c in enumerate(polys[-2]):
-            nxt[i] -= c
-        polys.append(nxt)
-    return polys[: degree + 1]
+            nxt, pos = groups.KeyIndex.translates(arrays, S, cur)
+            acc = np.zeros(len(nxt.rows), dtype=np.complex128)
+            for t, c in enumerate(coeffs):
+                acc[pos[t]] += c * C
+            acc *= 2.0
+            # s holds the identity, so the support of P_k-1 lies in P_k+1's
+            acc[nxt.find(prev.rows)] -= P
+            prev, P, cur, C = cur, C, nxt, acc
+            traces.append(trace(cur, C))
+    return [float(t) for t in traces]
 
 
 def fk_poly_trace(f: RingElement, interval, degree: int):
     """FK log-determinant via an exactly traced polynomial approximant.
 
     Builds the degree-m Chebyshev interpolant Q of log on [a, b] (which must
-    enclose the spectrum of f* f), evaluates tr Q(f* f) with exact ring
-    arithmetic (float Chebyshev coefficients, exact moments), and returns
+    enclose the spectrum of f* f), evaluates tr Q(f* f) from the traces of
+    the scaled Chebyshev polynomials (exact for int and rational f, each
+    rounded once to float; a complex128 recurrence for complex f), and returns
     (value, bound) with bound = sup |Q - log| / 2 on [a, b], measured on a
     dense grid with a 5% safety factor.
     """
@@ -529,13 +625,8 @@ def fk_poly_trace(f: RingElement, interval, degree: int):
         # the direct Chebyshev recurrence is stable
         t_vals = _chebyshev_traces_float(f, float(a), float(b), degree)
     else:
-        moments = _trace_moments(f, degree)
-        cheb_polys = _scaled_chebyshev_coeffs(Fraction(a), Fraction(b), degree)
-        t_vals = [
-            float(sum(c * moments[j] for j, c in enumerate(cheb_polys[k])))
-            for k in range(degree + 1)
-        ]
-    if max(abs(t) for t in t_vals) > 2.0 + 1e-9:
+        t_vals = _chebyshev_traces_exact(f, Fraction(a), Fraction(b), degree)
+    if max(abs(t) for t in t_vals) > 1.0 + 1e-9:
         warnings.warn(
             "Chebyshev traces exceed 1 in magnitude; the interval probably "
             "does not enclose the spectrum of f*f and the result is unreliable"
@@ -805,21 +896,15 @@ def perturbation_study(
     _require_invertibility(certificate, assume_invertible, "perturbation_study")
     g = _canonical_adjoint_rep(f)
     _, kernel = ring.l1_norm_and_kernel(g)
-    mul = groups.coordinate_multiplier(g.descriptor)
+    kernel_coords = [kk.coords for kk in kernel]
     rows = []
     for idx, F in enumerate(schedule):
         M = compress(g, F)
         k = int(math.floor(rank_fraction * len(F)))
         replaced: list[int] = []
         if k:
-            fset = set(F.index)
-            boundary = [
-                j for j, el in enumerate(F.elements)
-                if any(
-                    groups.GroupElement(g.descriptor, mul(kk.coords, el.coords)) not in fset
-                    for kk in kernel
-                )
-            ]
+            leaves = groups.window_translates(F, kernel_coords) < 0
+            boundary = np.flatnonzero(leaves.any(axis=0)).tolist()
             if k <= len(boundary):
                 replaced = boundary[:k]
             else:

@@ -268,19 +268,6 @@ def is_self_adjoint(f: RingElement) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# raw-coordinate view (hot paths in det.py work on plain tuples)
-
-def raw_terms(f: RingElement) -> dict:
-    return {g.coords: v for g, v in f.terms.items()}
-
-
-def from_raw_terms(descriptor: GroupDescriptor, raw: dict, domain: str) -> RingElement:
-    zero = _coerce(0, domain)
-    terms = {GroupElement(descriptor, c): v for c, v in raw.items() if v != zero}
-    return RingElement(descriptor, terms, domain)
-
-
-# ---------------------------------------------------------------------------
 # .gre text format
 #
 #   group <descriptor>

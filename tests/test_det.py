@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +236,25 @@ def test_poly_trace_complex_domain():
     f = G.ring_element(Z1, {(0,): 3 + 0j, (1,): 1j})
     val, bound = G.fk_poly_trace(f, (4, 16), 30)
     assert abs(val - math.log(3)) <= bound + 1e-12
+
+
+def test_poly_trace_warns_only_when_interval_misses_spectrum():
+    # F3* F3 has spectrum [1, 25]; on [3, 25] the traces of the scaled
+    # Chebyshev polynomials reach about 1.05 at degree 4
+    with pytest.warns(UserWarning, match="exceed 1"):
+        G.fk_poly_trace(F3, (3, 25), 4)
+    cert = G.certify_invertible(F3, "positive-gap")
+    enclosing = [
+        (F3, (1, 25), 40),
+        (F3, (1, 25), 60),
+        (zpoly({0: 4, 1: 1}), (9, 25), 30),
+        (G.ring_element(Z1, {(0,): 3 + 0j, (1,): 1j}), (4, 16), 30),
+        (F3, G.poly_trace_interval(cert, F3), 40),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, interval, degree in enclosing:
+            G.fk_poly_trace(f, interval, degree)
 
 
 def test_poly_trace_interval_from_certificate():

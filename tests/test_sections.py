@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import grdet as G
+from grdet import sections
 from grdet.errors import DomainError
 
 Z1 = G.integer_lattice(1)
@@ -104,6 +105,23 @@ def test_certify_torus_min_monotone_in_grid():
     f = zpoly({0: 3, 1: 1, -1: 1})
     bounds = [G.certify_invertible(f, "torus-min", grid_n=N).sigma_lower for N in (16, 32, 64, 128)]
     assert all(b >= a for a, b in zip(bounds, bounds[1:]))
+
+
+def test_certify_torus_min_counts_evaluation_error():
+    # the bound subtracts the rounding error of the computed grid values as
+    # well as the Lipschitz slack, so it lies below the slack-only bound
+    examples = [
+        zpoly({0: 3, 1: 1, -1: 1}),
+        zpoly({0: 5, 1: 2, -3: -1, 2: 1}),
+        zpoly({(0, 0): 7, (1, 0): 1, (0, -1): -1, (1, 1): 1}, Z2),
+    ]
+    for f in examples:
+        for N in (16, 64, 256):
+            cert = G.certify_invertible(f, "torus-min", grid_n=N)
+            w = cert.witness
+            assert cert.certified
+            assert 0 < w["eval_error"] < 1e-12
+            assert cert.sigma_lower < sections._down(w["grid_min"] - w["slack"])
 
 
 def test_certify_l1_neumann():
