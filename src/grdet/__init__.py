@@ -50,6 +50,7 @@ from .ring import (
     trace_identity,
     zero_element,
 )
+from .factorization import Factorization, factor
 from .sections import (
     CompressionMatrix,
     InvertibilityCertificate,

@@ -2,11 +2,12 @@
 
 Four routes to log-determinant data live here:
 
-  * logabsdet        -- pivoted elimination on floats (LAPACK getrf, or a
-                        Cholesky shortcut for Hermitian positive-definite
-                        input, or SuperLU for large sparse compressions),
-                        accumulating logs of pivot magnitudes so window
-                        sizes in the thousands cannot overflow;
+  * logabsdet        -- log|det| from factorization.factor (LAPACK
+                        Cholesky or LU, or SuperLU for large sparse
+                        compressions), summing logs of pivot magnitudes;
+                        -inf when the smallest pivot is at most 16 n eps
+                        times the largest, unless an exact-integer matrix
+                        has a nonzero determinant modulo a prime;
   * snf              -- exact Smith normal form over arbitrary-precision
                         integers, with optional unimodular transforms;
   * fk_finite_sections / fk_poly_trace
@@ -25,7 +26,6 @@ Four routes to log-determinant data live here:
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -33,71 +33,27 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import DomainError
 from . import groups, ring
+from .factorization import factor
 from .groups import FolnerWindow
-from .ring import RingElement
+from .ring import RingElement, _crt_primes
 from .sections import CompressionMatrix, InvertibilityCertificate, compress
-
-_TINY_PIVOT = 1e-300
 
 
 # ---------------------------------------------------------------------------
 # logabsdet
 
-def _logabsdet_dense(A: np.ndarray) -> float:
-    n = A.shape[0]
-    if n == 0:
-        return 0.0
-    hermitian = bool(np.array_equal(A, A.conj().T))
-    if hermitian:
-        try:
-            C = sla.cholesky(A, lower=True, check_finite=False)
-            return 2.0 * float(np.sum(np.log(np.abs(np.diag(C)))))
-        except sla.LinAlgError:
-            pass  # indefinite or singular; fall through to LU
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, _ = sla.lu_factor(A, check_finite=False)
-    d = np.abs(np.diag(lu))
-    if float(np.min(d)) < _TINY_PIVOT:
-        return -math.inf
-    return float(np.sum(np.log(d)))
-
-
-def _logabsdet_sparse(A: sp.spmatrix) -> float:
-    # Equilibration must stay off: SuperLU's row/column scaling changes the
-    # determinant of the factored matrix.
-    try:
-        lu = sp.linalg.splu(A.tocsc(), options=dict(Equil=False))
-    except RuntimeError:
-        return -math.inf
-    d = np.abs(lu.U.diagonal())
-    if d.size and float(np.min(d)) < _TINY_PIVOT:
-        return -math.inf
-    return float(np.sum(np.log(d)))
-
-
 def logabsdet(M) -> float:
-    """log |det M|, or -inf when a pivot falls below 1e-300.
+    """log |det M|, or -inf when the factorization finds M singular.
 
     Accepts a CompressionMatrix, a dense array, or a scipy sparse matrix.
+    factorization.factor picks the backend; M counts as singular when its
+    smallest pivot is at most 16 n eps times its largest, unless M is an
+    exact-integer matrix with a nonzero determinant modulo a prime.
     """
-    if isinstance(M, CompressionMatrix):
-        if M.is_sparse and M.n > 512:
-            return _logabsdet_sparse(M.to_csr())
-        return _logabsdet_dense(M.to_float())
-    if sp.issparse(M):
-        if M.shape[0] != M.shape[1]:
-            raise DomainError("logabsdet needs a square matrix")
-        return _logabsdet_sparse(M)
-    A = np.asarray(M)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError("logabsdet needs a square matrix")
-    return _logabsdet_dense(A.astype(np.complex128 if np.iscomplexobj(A) else np.float64))
+    return factor(M).logabsdet
 
 
 # ---------------------------------------------------------------------------
@@ -406,44 +362,6 @@ def fk_finite_sections(
 # term of s, the rows its translates land on.  Coefficients ride along as
 # int64 residues modulo primes below 2^31 (exact route, rebuilt by CRT) or
 # as complex128 (float route), added term by term in the order of s's terms.
-
-def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin: bases 2, 3, 5, 7 decide every n < 3.2e9
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@functools.lru_cache(maxsize=None)
-def _crt_primes(count: int) -> tuple:
-    """The count largest primes below 2^31, descending.
-
-    Residues stay below 2^31, so a product of two fits in int64.
-    """
-    primes = []
-    n = (1 << 31) - 1
-    while len(primes) < count:
-        if _is_prime(n):
-            primes.append(n)
-        n -= 2
-    return tuple(primes)
-
 
 def _crt_symmetric(residues, primes) -> int:
     """The integer of least magnitude with the given residues."""

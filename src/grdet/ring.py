@@ -13,6 +13,7 @@ can never be contaminated silently.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import DescriptorMismatch, DomainError, FormatError
@@ -58,6 +59,50 @@ def _coerce(value, domain):
         return Fraction(value)
     return complex(value)
 
+
+# ---------------------------------------------------------------------------
+# residue arithmetic
+
+def _is_prime(n: int) -> bool:
+    # deterministic Miller-Rabin: bases 2, 3, 5, 7 decide every n < 3.2e9
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7):
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _crt_primes(count: int) -> tuple:
+    """The count largest primes below 2^31, descending.
+
+    Residues stay below 2^31, so a product of two fits in int64.
+    """
+    primes = []
+    n = (1 << 31) - 1
+    while len(primes) < count:
+        if _is_prime(n):
+            primes.append(n)
+        n -= 2
+    return tuple(primes)
+
+
+# ---------------------------------------------------------------------------
+# ring elements
 
 class RingElement:
     """A finitely supported map group -> scalars, with no stored zeros."""

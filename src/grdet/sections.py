@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,19 +19,18 @@ import scipy.sparse as sp
 
 from .errors import DescriptorMismatch, DomainError
 from . import groups, ring
+from .factorization import factor
 # folner_window stays importable from here: bench/test_bench.py checks that
 # tracing wraps it through this alias
 from .groups import FolnerWindow, folner_window  # noqa: F401
 from .ring import RingElement
 
-SPARSE_DENSITY_CUTOFF = 0.25
-
 
 class CompressionMatrix:
     """Compression f_F stored as exact COO triples.
 
-    Kept sparse (triples only) while density < 1/4; dense views are built
-    lazily either way.
+    Dense and sparse float views are built on demand;
+    factorization.factor decides which one it eliminates.
     """
 
     __slots__ = ("window", "n", "domain", "rows", "cols", "vals", "_float_cache")
@@ -57,10 +55,6 @@ class CompressionMatrix:
     def density(self) -> float:
         return self.nnz / (self.n * self.n)
 
-    @property
-    def is_sparse(self) -> bool:
-        return self.density < SPARSE_DENSITY_CUTOFF
-
     def entry(self, i: int, j: int):
         for r, c, v in zip(self.rows, self.cols, self.vals):
             if r == i and c == j:
@@ -79,21 +73,22 @@ class CompressionMatrix:
             raise DomainError("integer view requires the exact-integer domain")
         return self.to_exact_rows()
 
+    def _float_vals(self) -> np.ndarray:
+        dtype = np.complex128 if self.domain == ring.COMPLEX else np.float64
+        return np.array(self.vals, dtype=dtype)
+
     def to_float(self) -> np.ndarray:
         cached = self._float_cache
         if cached is not None:
             return cached
-        dtype = np.complex128 if self.domain == ring.COMPLEX else np.float64
-        M = np.zeros((self.n, self.n), dtype=dtype)
-        for r, c, v in zip(self.rows, self.cols, self.vals):
-            M[r, c] = complex(v) if dtype == np.complex128 else float(v)
+        vals = self._float_vals()
+        M = np.zeros((self.n, self.n), dtype=vals.dtype)
+        M[self.rows, self.cols] = vals
         object.__setattr__(self, "_float_cache", M)
         return M
 
     def to_csr(self) -> sp.csr_matrix:
-        dtype = np.complex128 if self.domain == ring.COMPLEX else np.float64
-        data = np.array([complex(v) if dtype == np.complex128 else float(v) for v in self.vals], dtype=dtype)
-        return sp.csr_matrix((data, (self.rows, self.cols)), shape=(self.n, self.n))
+        return sp.csr_matrix((self._float_vals(), (self.rows, self.cols)), shape=(self.n, self.n))
 
 
 def compress(f: RingElement, F: FolnerWindow) -> CompressionMatrix:
@@ -253,51 +248,23 @@ def certify_invertible(f: RingElement, method: str, grid_n: int = 256) -> Invert
 # ---------------------------------------------------------------------------
 # smallest singular value
 
-def _as_operator(M):
-    if isinstance(M, CompressionMatrix):
-        if M.is_sparse and M.n > 512:
-            return M.to_csr().tocsc()
-        return M.to_float()
-    if sp.issparse(M):
-        return M.tocsc()
-    arr = np.asarray(M)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DomainError("expected a square matrix")
-    return arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
-
-
 def sigma_min_estimate(M, rel_tol: float = 1e-8, max_iter: int = 2000) -> float:
     """Smallest singular value via inverse power iteration on M*M.
 
-    Deterministic all-ones start vector; returns 0.0 for numerically
-    singular input.
+    Deterministic all-ones start vector; returns 0.0 when
+    factorization.factor finds M singular.
     """
-    A = _as_operator(M)
-    n = A.shape[0]
+    fac = factor(M)
+    n = fac.n
     if n == 0:
         raise DomainError("empty matrix")
-    sparse = sp.issparse(A)
-    try:
-        if sparse:
-            lu = sp.linalg.splu(A, options=dict(Equil=False))
-            if np.min(np.abs(lu.U.diagonal())) < 1e-300:
-                return 0.0
-            solve = lu.solve
-            def apply_inv(v):
-                return solve(solve(v, trans="H"), trans="N")
-        else:
-            import scipy.linalg as sla
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                lu, piv = sla.lu_factor(A)
-            if np.min(np.abs(np.diag(lu))) < 1e-300:
-                return 0.0
-            def apply_inv(v):
-                return sla.lu_solve((lu, piv), sla.lu_solve((lu, piv), v, trans=2), trans=0)
-    except (RuntimeError, ValueError):
+    if fac.singular:
         return 0.0
 
-    v = np.ones(n, dtype=np.complex128 if np.issubdtype(A.dtype, np.complexfloating) else np.float64)
+    def apply_inv(v):
+        return fac.solve(fac.solve(v, trans="H"), trans="N")
+
+    v = np.ones(n, dtype=fac.dtype)
     v /= math.sqrt(n)
     mu_prev = 0.0
     for _ in range(max_iter):

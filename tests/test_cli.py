@@ -52,6 +52,25 @@ def test_fkdet_sections_cli(capsys, f_path):
     assert abs(last_value - 0.9624236501) < 1e-2
 
 
+# pinned stdout of the H3 sections table: its 12 significant digits must not
+# move when the factorization changes backend or ordering
+H_SECTIONS_3_4 = (
+    "n,window_size,boundary_ratio,value,method\n"
+    "3,931,0.726100966702,1.53424065531,sections\n"
+    "4,2673,0.564160119716,1.52997852233,sections\n"
+)
+
+
+@pytest.mark.parametrize("method", ["l1-neumann", "positive-gap"])
+def test_fkdet_sections_h3_golden(capsys, tmp_path, method):
+    p = tmp_path / "h.gre"
+    p.write_text(H_GRE)
+    code, out, _ = run(capsys, ["fkdet", "--method", "sections", "--f", str(p),
+                                "--schedule", "3,4", "--certify", method])
+    assert code == 0
+    assert out == H_SECTIONS_3_4
+
+
 def test_cli_determinism(capsys, f_path):
     argv = ["perturb", "--f", f_path, "--schedule", "5,30", "--delta", "0.05",
             "--seed", "7", "--certify", "positive-gap"]

@@ -1,0 +1,188 @@
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+import grdet as G
+from grdet import factorization
+from grdet.errors import DomainError
+
+Z1 = G.integer_lattice(1)
+Z2 = G.integer_lattice(2)
+H3 = G.heisenberg3()
+
+X, XI, Y, YI = (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)
+E3 = (0, 0, 0)
+H3_SYMBOLS = {
+    "sa": G.ring_element(H3, {E3: 5, X: 1, XI: 1, Y: 1, YI: 1}),
+    "nsa": G.ring_element(H3, {E3: 5, X: 1, XI: -1, Y: 1, YI: -1}),
+    "cplx": G.ring_element(H3, {E3: 5 + 0j, X: 0.5 + 0.5j, XI: -0.25j, Y: 0.5, YI: 0.3 - 0.2j}),
+}
+
+
+@pytest.fixture(scope="module")
+def h3_compressions():
+    return {(kind, n): G.compress(f, G.folner_window(H3, n))
+            for kind, f in H3_SYMBOLS.items() for n in (3, 4)}
+
+
+def z1(mapping):
+    return G.ring_element(Z1, {(k,): v for k, v in mapping.items()})
+
+
+def z2(mapping):
+    return G.ring_element(Z2, mapping)
+
+
+# ---------------------------------------------------------------------- dispatch
+
+def test_backend_dispatch():
+    f = z1({0: 3, 1: 1, -1: 1})
+    assert G.factor(G.compress(f, G.folner_window(Z1, 100))).backend == "cholesky"
+    g = z1({0: 3, 1: 1})
+    assert G.factor(G.compress(g, G.folner_window(Z1, 100))).backend == "lu"
+    big = G.factor(G.compress(f, G.folner_window(Z1, 300)))      # 601 unknowns
+    assert (big.backend, big.n) == ("superlu", 601)
+    # explicit inputs keep their form: dense stays LAPACK, sparse stays SuperLU
+    assert G.factor(np.eye(3)).backend == "cholesky"
+    assert G.factor(sp.identity(3, format="csr")).backend == "superlu"
+
+
+def test_symmetric_pattern_picks_minimum_degree_ordering():
+    sym = [
+        G.compress(z1({0: 3, 1: 1, -1: 1}), G.folner_window(Z1, 300)),
+        G.compress(z2({(0, 0): 5, (1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1}),
+                   G.folner_window(Z2, 16)),
+    ] + [G.compress(f, G.folner_window(H3, 3)) for f in H3_SYMBOLS.values()]
+    for M in sym:
+        assert G.factor(M).ordering == "MMD_AT_PLUS_A"
+    other = [
+        G.compress(z2({(0, 0): 6, (1, 0): 1, (0, -1): -1, (-1, 1): 1, (1, 1): 1}),
+                   G.folner_window(Z2, 16)),
+        G.compress(z1({1: 1}), G.folner_window(Z1, 300)),           # the shift u
+    ]
+    for M in other:
+        fac = G.factor(M)
+        assert (fac.backend, fac.ordering) == ("superlu", "COLAMD")
+
+
+@pytest.mark.parametrize("kind", sorted(H3_SYMBOLS))
+@pytest.mark.parametrize("n", [3, 4])
+def test_h3_logabsdet_matches_dense_lu(h3_compressions, kind, n):
+    M = h3_compressions[kind, n]
+    fac = G.factor(M)
+    assert fac.backend == "superlu" and not fac.singular
+    _, dense = np.linalg.slogdet(M.to_float())
+    assert fac.logabsdet == pytest.approx(dense, rel=1e-12)
+    assert G.logabsdet(M) == fac.logabsdet
+
+
+def test_h3_minimum_degree_fill(h3_compressions):
+    M = h3_compressions["sa", 4]
+    fac = G.factor(M)
+    colamd = spla.splu(M.to_csr().tocsc(), permc_spec="COLAMD", options=dict(Equil=False))
+    assert fac.nnz_lu <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_stats_report_the_factorization():
+    fac = G.factor(G.compress(z1({0: 3, 1: 1, -1: 1}), G.folner_window(Z1, 300)))
+    st = fac.stats()
+    assert st["backend"] == "superlu" and st["ordering"] == "MMD_AT_PLUS_A"
+    assert (st["n"], st["nnz"]) == (601, 3 * 601 - 2)
+    assert st["nnz_lu"] >= st["nnz"]
+    assert 0.0 < st["pivot_ratio"] <= 1.0
+    assert st["singular"] is False and st["proof"] is None
+    dense = G.factor(np.diag([2.0, 8.0])).stats()
+    assert (dense["backend"], dense["nnz_lu"], dense["pivot_ratio"]) == ("cholesky", 3, 0.25)
+
+
+# ---------------------------------------------------------------------- solves
+
+@pytest.mark.parametrize("trans", ["N", "T", "H"])
+def test_solve_matches_numpy_on_every_backend(trans):
+    rng = np.random.default_rng(5)
+    n = 40
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    hpd = B @ B.conj().T + n * np.eye(n)
+    general = B + 2 * n * np.eye(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    op = {"N": lambda A: A, "T": lambda A: A.T, "H": lambda A: A.conj().T}[trans]
+    for A, backend in ((hpd, "cholesky"), (general, "lu"), (sp.csc_matrix(general), "superlu")):
+        fac = G.factor(A)
+        assert fac.backend == backend
+        dense = A.toarray() if sp.issparse(A) else A
+        assert np.allclose(fac.solve(v, trans=trans), np.linalg.solve(op(dense), v),
+                           rtol=1e-10, atol=1e-12)
+    with pytest.raises(DomainError):
+        G.factor(hpd).solve(v, trans="C")
+
+
+def test_sigma_min_sparse_and_dense_agree():
+    f = z1({0: 3, 1: 1, -2: 1})
+    M = G.compress(f, G.folner_window(Z1, 300))
+    assert G.factor(M).backend == "superlu"
+    sparse = G.sigma_min_estimate(M)
+    dense = G.sigma_min_estimate(M.to_float())
+    assert sparse == pytest.approx(dense, rel=1e-9)
+    # inverse iteration approaches sigma_min from above
+    exact = np.linalg.svd(M.to_float(), compute_uv=False).min()
+    assert exact * (1 - 1e-12) <= sparse <= exact * (1 + 1e-3)
+
+
+# ---------------------------------------------------------------------- singularity
+
+def _rank_deficient(rng, n):
+    """A random integer n x n matrix of rank n - 1: one column is an integer
+    combination of the others."""
+    A = rng.integers(-9, 10, size=(n, n))
+    j = int(rng.integers(n))
+    A[:, j] = np.delete(A, j, axis=1) @ rng.integers(-3, 4, size=n - 1)
+    return A
+
+
+def test_rank_deficient_integer_matrices_are_singular():
+    # an absolute pivot threshold gave almost all of these a finite log|det|
+    rng = np.random.default_rng(20260)
+    for _ in range(40):
+        n = int(rng.integers(20, 201))
+        A = _rank_deficient(rng, n)
+        assert G.logabsdet(A) == -math.inf, n
+        assert G.logabsdet(A.astype(np.float64)) == -math.inf, n
+        # full structural rank, and det = 0 modulo every prime tried
+        assert G.factor(A).proof is None
+
+
+def test_modular_residue_proves_badly_scaled_integer_matrix_nonsingular():
+    fac = G.factor(np.diag([1, 10**17]))
+    assert fac.pivot_ratio < 1e-16
+    assert (fac.singular, fac.proof) == (False, "det-mod-p")
+    assert fac.logabsdet == pytest.approx(17 * math.log(10), rel=1e-15)
+    # the same matrix in floats has no exact argument: the pivots decide
+    assert G.logabsdet(np.diag([1.0, 1e17])) == -math.inf
+
+
+def test_zero_matrix_is_singular():
+    fac = G.factor(np.zeros((3, 3)))
+    assert (fac.singular, fac.logabsdet, fac.pivot_ratio) == (True, -math.inf, 0.0)
+    assert G.logabsdet(np.zeros((3, 3), dtype=np.int64)) == -math.inf
+    assert G.factor(np.zeros((3, 3), dtype=np.int64)).proof == "structural-rank"
+
+
+@pytest.mark.parametrize("n", [150, 400])   # dense LU, then SuperLU
+def test_shift_sections_settle_by_structural_rank(monkeypatch, n):
+    def no_modular_elimination(*args):
+        raise AssertionError("modular elimination reached")
+
+    monkeypatch.setattr(factorization, "_det_nonzero_mod", no_modular_elimination)
+    u = z1({1: 1})
+    F = G.folner_window(Z1, n)
+    fac = G.factor(G.compress(u, F))
+    assert (fac.singular, fac.proof, fac.logabsdet) == (True, "structural-rank", -math.inf)
+    assert G.sigma_min_estimate(G.compress(u, F)) == 0.0
+    # unit columns leave a partial permutation matrix: singular ones are
+    # structurally singular, the others have |det| = 1
+    values = [G.perturbation_study(u, [F], 0.02, seed=seed, assume_invertible=True).values()[0]
+              for seed in range(4)]
+    assert set(values) <= {-math.inf, 0.0}

@@ -7,6 +7,7 @@ import pytest
 import grdet as G
 from grdet import sections
 from grdet.errors import DomainError
+from grdet.factorization import SPARSE_DENSITY_CUTOFF
 
 Z1 = G.integer_lattice(1)
 Z2 = G.integer_lattice(2)
@@ -58,9 +59,9 @@ def test_compress_adjoint_is_conjugate_transpose():
 def test_compress_sparsity_flag():
     f = zpoly({0: 3, 1: 1, -1: 1})
     small = G.compress(f, window_range(3))
-    assert not small.is_sparse  # 7/9 density
+    assert small.density == pytest.approx(7 / 9)
     big = G.compress(f, window_range(64))
-    assert big.is_sparse
+    assert big.density < SPARSE_DENSITY_CUTOFF
     assert big.nnz <= len(f) * 64
 
 
