@@ -22,6 +22,8 @@ Four routes to log-determinant data live here:
                      -- low-rank rational perturbations of compressions
                         with norm-controlled transfer blocks, which keep
                         the same normalized limit.
+
+fk_finite_sections and perturbation_study share one table loop, _section_rows.
 """
 
 from __future__ import annotations
@@ -342,15 +344,23 @@ def fk_finite_sections(
     non-positive elements can legitimately be singular.
     """
     _require_invertibility(certificate, assume_invertible, "fk_finite_sections")
+    return ConvergenceTable(
+        f"fk determinant, finite sections of {len(f)}-term symbol",
+        _section_rows(f, schedule, "sections", lambda M, kernel: M),
+    )
+
+
+def _section_rows(f: RingElement, schedule, method: str, window_matrix) -> tuple:
+    """Rows log|det window_matrix(g_F, kernel)| / |F| over the schedule, with g
+    f's canonical adjoint representative and kernel its support."""
     g = _canonical_adjoint_rep(f)
     _, kernel = ring.l1_norm_and_kernel(g)
     rows = []
     for i, F in enumerate(schedule):
-        M = compress(g, F)
-        val = logabsdet(M) / len(F)
+        val = logabsdet(window_matrix(compress(g, F), kernel)) / len(F)
         br = groups.boundary_ratio(F, kernel)
-        rows.append(TableRow(F.n if F.n is not None else i + 1, len(F), br, val, "sections"))
-    return ConvergenceTable(f"fk determinant, finite sections of {len(f)}-term symbol", tuple(rows))
+        rows.append(TableRow(F.n if F.n is not None else i + 1, len(F), br, val, method))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -812,42 +822,41 @@ def perturbation_study(
     if not (0 <= rank_fraction <= 0.1):
         raise DomainError("rank_fraction must lie in [0, 0.1]")
     _require_invertibility(certificate, assume_invertible, "perturbation_study")
-    g = _canonical_adjoint_rep(f)
-    _, kernel = ring.l1_norm_and_kernel(g)
-    kernel_coords = [kk.coords for kk in kernel]
-    rows = []
-    for idx, F in enumerate(schedule):
-        M = compress(g, F)
-        k = int(math.floor(rank_fraction * len(F)))
-        replaced: list[int] = []
-        if k:
-            leaves = groups.window_translates(F, kernel_coords) < 0
-            boundary = np.flatnonzero(leaves.any(axis=0)).tolist()
-            if k <= len(boundary):
-                replaced = boundary[:k]
-            else:
-                rng = np.random.default_rng(seed)
-                rest = np.setdiff1d(np.arange(len(F)), np.array(boundary, dtype=int))
-                extra = rng.choice(rest, size=k - len(boundary), replace=False)
-                replaced = sorted(boundary + [int(x) for x in extra])
-        repl = set(replaced)
-        rows_keep = []
-        cols_keep = []
-        vals_keep = []
-        for r, c, v in zip(M.rows, M.cols, M.vals):
-            if c not in repl:
-                rows_keep.append(r)
-                cols_keep.append(c)
-                vals_keep.append(v)
-        for c in replaced:
-            rows_keep.append(c)
-            cols_keep.append(c)
-            vals_keep.append(ring._coerce(1, M.domain))
-        S = CompressionMatrix(F, rows_keep, cols_keep, vals_keep, M.domain)
-        val = logabsdet(S) / len(F)
-        br = groups.boundary_ratio(F, kernel)
-        rows.append(TableRow(F.n if F.n is not None else idx + 1, len(F), br, val, "perturbed"))
     return ConvergenceTable(
         f"fk determinant, rank-{rank_fraction} unit-column perturbations (seed {seed})",
-        tuple(rows),
+        _section_rows(f, schedule, "perturbed",
+                      lambda M, kernel: _unit_columns(M, kernel, rank_fraction, seed)),
     )
+
+
+def _unit_columns(M: CompressionMatrix, kernel, rank_fraction: float, seed: int):
+    """M with floor(rank_fraction * n) columns replaced by unit vectors,
+    chosen as perturbation_study describes.
+    """
+    F = M.window
+    k = int(math.floor(rank_fraction * len(F)))
+    replaced: list[int] = []
+    if k:
+        leaves = groups.window_translates(F, [kk.coords for kk in kernel]) < 0
+        boundary = np.flatnonzero(leaves.any(axis=0)).tolist()
+        if k <= len(boundary):
+            replaced = boundary[:k]
+        else:
+            rng = np.random.default_rng(seed)
+            rest = np.setdiff1d(np.arange(len(F)), np.array(boundary, dtype=int))
+            extra = rng.choice(rest, size=k - len(boundary), replace=False)
+            replaced = sorted(boundary + [int(x) for x in extra])
+    repl = set(replaced)
+    rows_keep = []
+    cols_keep = []
+    vals_keep = []
+    for r, c, v in zip(M.rows, M.cols, M.vals):
+        if c not in repl:
+            rows_keep.append(r)
+            cols_keep.append(c)
+            vals_keep.append(v)
+    for c in replaced:
+        rows_keep.append(c)
+        cols_keep.append(c)
+        vals_keep.append(ring._coerce(1, M.domain))
+    return CompressionMatrix(F, rows_keep, cols_keep, vals_keep, M.domain)

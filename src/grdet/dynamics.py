@@ -284,6 +284,18 @@ def _min_cover(balls) -> int:
     return best
 
 
+def _extremal_relation(S, F, p, eps):
+    """The checks every extremal count shares, then the (separated, near)
+    adjacency of the points of S over the window F."""
+    points = list(S.vectors() if isinstance(S, DualSolutionSet) else S)
+    if len(points) > EXTREMAL_SCALE_LIMIT:
+        raise ScaleExceeded(f"{len(points)} points exceed the brute-force scale")
+    if not points:
+        raise DomainError("empty point set")
+    elems = list(F.elements if isinstance(F, FolnerWindow) else F)
+    return _pairwise_relation(points, elems, p, eps)
+
+
 def extremal_count(S, F, p, eps, mode: str) -> int:
     """Maximal separated or minimal spanning cardinality, both exact.
 
@@ -292,28 +304,17 @@ def extremal_count(S, F, p, eps, mode: str) -> int:
     set cover by the closed eps-balls around the points.  Instances above
     4096 points are rejected, not approximated.
     """
-    points = list(S.vectors() if isinstance(S, DualSolutionSet) else S)
-    if len(points) > EXTREMAL_SCALE_LIMIT:
-        raise ScaleExceeded(f"{len(points)} points exceed the brute-force scale")
-    if not points:
-        raise DomainError("empty point set")
-    elems = list(F.elements if isinstance(F, FolnerWindow) else F)
-    sep, near = _pairwise_relation(points, elems, p, eps)
+    sep, near = _extremal_relation(S, F, p, eps)
     if mode == "separated":
         return _max_clique(sep)[0]
     if mode == "spanning":
-        balls = [frozenset(j for j in range(len(points)) if near[i][j]) for i in range(len(points))]
-        return _min_cover(balls)
+        return _min_cover([frozenset(j for j, x in enumerate(row) if x) for row in near])
     raise DomainError("mode must be 'separated' or 'spanning'")
 
 
 def separated_count_with_greedy(S, F, p, eps) -> tuple[int, int]:
     """(exact separated count, greedy lower bound) for reporting."""
-    points = list(S.vectors() if isinstance(S, DualSolutionSet) else S)
-    if len(points) > EXTREMAL_SCALE_LIMIT:
-        raise ScaleExceeded(f"{len(points)} points exceed the brute-force scale")
-    elems = list(F.elements if isinstance(F, FolnerWindow) else F)
-    sep, _ = _pairwise_relation(points, elems, p, eps)
+    sep, _ = _extremal_relation(S, F, p, eps)
     return _max_clique(sep)
 
 
@@ -404,12 +405,6 @@ class Tiling:
     coverage: Fraction
     mode: str
     eps: float
-
-    def center_sets(self) -> dict:
-        out: dict = {}
-        for ti, c in self.placements:
-            out.setdefault(ti, []).append(c)
-        return {ti: tuple(cs) for ti, cs in out.items()}
 
     def to_csv(self) -> str:
         lines = ["tile_index,center_coordinates"]

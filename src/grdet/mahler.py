@@ -5,7 +5,9 @@ Three routes, which agree where their hypotheses overlap:
   * mahler_roots     -- d = 1 only; log|leading coeff| + sum of log+ of the
                         root magnitudes (companion-matrix eigenvalues);
   * mahler_grid      -- torus quadrature of log|symbol| on the N-th roots
-                        of unity, any d;
+                        of unity, any d; the symbol values come from
+                        sections._torus_values, the evaluator the torus-min
+                        certificate uses;
   * circulant_logdet -- normalized log-determinant of the symbol acting on
                         the group ring of (Z/N)^d; its eigenvalues are
                         exactly the symbol values on the same grid.
@@ -13,7 +15,6 @@ Three routes, which agree where their hypotheses overlap:
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,9 +23,9 @@ import numpy as np
 
 from .errors import DomainError
 from . import groups, ring
-from .det import logabsdet
+from .det import _canonical_adjoint_rep, logabsdet
 from .ring import RingElement
-from .sections import compress
+from .sections import _torus_values, compress
 
 ZERO_SYMBOL_FLOOR = 1e-14
 
@@ -88,38 +89,15 @@ def mahler_roots(f) -> float:
     )
 
 
-def _symbol_values_fixed_order(f: RingElement, N: int):
-    """|f| at every point of the N-th-roots grid, in grid enumeration order.
-
-    Each value is assembled with exact-rounded summation (math.fsum) of the
-    term contributions, so it does not depend on the term order; the adjoint
-    symbol therefore yields bit-identical magnitudes.
-    """
-    d = f.descriptor.params[0]
-    table = [cmath.exp(2j * math.pi * j / N) for j in range(N)]
-    terms = [(g.coords, complex(v)) for g, v in f.sorted_terms()]
-    out = []
-    total = N ** d
-    for flat in range(total):
-        k = []
-        rem = flat
-        for _ in range(d):
-            k.append(rem % N)
-            rem //= N
-        k.reverse()
-        parts = [c * table[sum(e * ki for e, ki in zip(exp, k)) % N] for exp, c in terms]
-        re = math.fsum(p.real for p in parts)
-        im = math.fsum(p.imag for p in parts)
-        out.append(math.hypot(re, im))
-    return out
-
-
 def mahler_grid(f: RingElement, N: int) -> float:
     """Mean of log|f| over the N^d grid of N-th roots of unity.
 
-    Grid points where |f| falls below 1e-14 are defects: they are excluded
-    from the mean and reported through a warning, since quadrature through a
-    torus zero is unreliable (the measure itself is still defined).
+    The symbol is evaluated through the canonical adjoint representative
+    (det._canonical_adjoint_rep), so f and its adjoint give bit-identical
+    means; the logs are summed with math.fsum.  Grid points where |f| falls
+    below 1e-14 are defects: they are excluded from the mean and reported
+    through a warning, since quadrature through a torus zero is unreliable
+    (the measure itself is still defined).
     """
     if f.descriptor.family != groups.LATTICE:
         raise DomainError("mahler_grid needs an integer-lattice element")
@@ -127,22 +105,16 @@ def mahler_grid(f: RingElement, N: int) -> float:
         raise DomainError("mahler_grid rejects the zero element")
     if not (isinstance(N, int) and N >= 2):
         raise DomainError("grid size must be an integer >= 2")
-    values = _symbol_values_fixed_order(f, N)
-    logs = []
-    defects = 0
-    for v in values:
-        if v < ZERO_SYMBOL_FLOOR:
-            defects += 1
-        else:
-            logs.append(math.log(v))
-    if not logs:
+    values = np.abs(_torus_values(_canonical_adjoint_rep(f), N)).ravel()
+    kept = values[values >= ZERO_SYMBOL_FLOOR]
+    if not kept.size:
         raise DomainError("every grid point is a near-zero defect")
-    if defects:
+    if kept.size < values.size:
         warnings.warn(
-            f"mahler_grid: {defects} of {len(values)} grid points are near torus "
-            "zeros and were excluded; the estimate is unreliable"
+            f"mahler_grid: {values.size - kept.size} of {values.size} grid points are near "
+            "torus zeros and were excluded; the estimate is unreliable"
         )
-    return math.fsum(logs) / len(logs)
+    return math.fsum(np.log(kept).tolist()) / kept.size
 
 
 def circulant_logdet(f: RingElement, N: int) -> float:

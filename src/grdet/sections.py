@@ -1,10 +1,13 @@
-"""Finite-window compressions of convolution operators and invertibility
-certificates.
+"""Finite-window compressions of convolution operators, invertibility
+certificates and smallest singular values.
 
 The compression of f to a window F is the |F| x |F| matrix with entry
 (row g', col g) = f_{g' g^-1}: the matrix of "multiply by f on the left,
 then restrict to F" in the basis F.  Entries stay in the element's exact
 scalar domain; float views are materialized on demand.
+
+_torus_values evaluates a lattice symbol on the torus grid for both the
+torus-min certificate and mahler.mahler_grid.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import DescriptorMismatch, DomainError
@@ -150,26 +154,31 @@ def _not_certifiable(method: str, reason: str) -> InvertibilityCertificate:
     return InvertibilityCertificate(method, False, 0.0, None, {}, reason)
 
 
+def _torus_values(f: RingElement, N: int) -> np.ndarray:
+    """Entry k of the N^d array is sum_g f_g exp(2 pi i <g, k> / N): terms in
+    sorted order, integer phases reduced mod N, accumulated in term order.
+    The torus-min certificate's eval_error is derived for exactly this.
+    """
+    d = f.descriptor.params[0]
+    axes = np.meshgrid(*([np.arange(N)] * d), indexing="ij")
+    values = np.zeros(axes[0].shape, dtype=np.complex128)
+    for g, v in f.sorted_terms():
+        phases = sum(int(ei) * ax for ei, ax in zip(g.coords, axes)) % N
+        values += complex(v) * np.exp(2j * np.pi * phases / N)
+    return values
+
+
 def _certify_torus_min(f: RingElement, grid_n: int) -> InvertibilityCertificate:
     desc = f.descriptor
     if desc.family != groups.LATTICE:
         return _not_certifiable("torus-min", "torus-min applies to integer lattices only")
     if not f:
         return _not_certifiable("torus-min", "zero element")
-    d = desc.params[0]
     N = int(grid_n)
     if N < 2:
         raise DomainError("grid size must be >= 2")
+    grid_min = float(np.min(np.abs(_torus_values(f, N))))
     terms = f.sorted_terms()
-    exps = np.array([g.coords for g, _ in terms], dtype=np.int64)
-    coeffs = np.array([complex(v) for _, v in terms])
-    # evaluate the symbol on the uniform N^d grid of the torus
-    axes = np.meshgrid(*([np.arange(N)] * d), indexing="ij")
-    values = np.zeros(axes[0].shape, dtype=np.complex128)
-    for e, c in zip(exps, coeffs):
-        phases = sum(int(ei) * ax for ei, ax in zip(e, axes)) % N
-        values += c * np.exp(2j * np.pi * phases / N)
-    grid_min = float(np.min(np.abs(values)))
     # Lipschitz slack: |f(t)-f(s)| <= 2*pi*sum |f_g|*|g|_1 * |t-s|_inf,
     # and every torus point is within half a grid spacing of the grid.
     lip = 2.0 * math.pi * float(
@@ -248,11 +257,15 @@ def certify_invertible(f: RingElement, method: str, grid_n: int = 256) -> Invert
 # ---------------------------------------------------------------------------
 # smallest singular value
 
-def sigma_min_estimate(M, rel_tol: float = 1e-8, max_iter: int = 2000) -> float:
-    """Smallest singular value via inverse power iteration on M*M.
+# Lanczos basis size; smaller SuperLU factorizations take the dense SVD
+_LANCZOS_NCV = 40
 
-    Deterministic all-ones start vector; returns 0.0 when
-    factorization.factor finds M singular.
+
+def sigma_min_estimate(M) -> float:
+    """Smallest singular value: 0.0 when factorization.factor finds M
+    singular, else LAPACK's svdvals for dense factorizations and, for
+    SuperLU, Lanczos (ARPACK eigsh from a seeded start) on (M^H M)^-1, which
+    raises ArpackNoConvergence rather than return an unconverged value.
     """
     fac = factor(M)
     n = fac.n
@@ -260,22 +273,13 @@ def sigma_min_estimate(M, rel_tol: float = 1e-8, max_iter: int = 2000) -> float:
         raise DomainError("empty matrix")
     if fac.singular:
         return 0.0
-
-    def apply_inv(v):
-        return fac.solve(fac.solve(v, trans="H"), trans="N")
-
-    v = np.ones(n, dtype=fac.dtype)
-    v /= math.sqrt(n)
-    mu_prev = 0.0
-    for _ in range(max_iter):
-        w = apply_inv(v)
-        mu = float(np.linalg.norm(w))
-        if not math.isfinite(mu) or mu > 1e290:
-            return 0.0
-        if mu == 0.0:
-            return 0.0
-        v = w / mu
-        if abs(mu - mu_prev) <= 0.5 * rel_tol * mu:
-            break
-        mu_prev = mu
-    return 1.0 / math.sqrt(mu)
+    if fac.backend != "superlu" or n <= _LANCZOS_NCV:
+        if isinstance(M, CompressionMatrix):
+            M = M.to_float()
+        return float(sla.svdvals(M.toarray() if sp.issparse(M) else M)[-1])
+    inverse_gram = sp.linalg.LinearOperator(
+        (n, n), dtype=fac.dtype, matvec=lambda v: fac.solve(fac.solve(v, trans="H")))
+    v0 = np.random.default_rng(0).standard_normal(n).astype(fac.dtype)
+    (mu,) = sp.linalg.eigsh(inverse_gram, k=1, ncv=_LANCZOS_NCV, v0=v0,
+                            return_eigenvectors=False)
+    return 1.0 / math.sqrt(float(mu))

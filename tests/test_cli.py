@@ -71,6 +71,31 @@ def test_fkdet_sections_h3_golden(capsys, tmp_path, method):
     assert out == H_SECTIONS_3_4
 
 
+# pinned stdout of the torus evaluator's two users on a multi-term Z^2
+# symbol; JSON prints the full float repr, so it pins the certificate bit
+# for bit
+Z2_GRE = "group Z^2\n7 0 0\n2 1 0\n-1 -1 1\n1 0 -2\n"
+Z2_GOLDEN = {
+    ("mahler", "--method", "grid", "--grid-n", "48"):
+        "method,grid_n,value\ngrid,48,1.94732065134\n",
+    ("certify", "--method", "torus-min"):
+        "method,certified,sigma_min_lower,inverse_norm_upper,reason\n"
+        "torus-min,1,3.99411269957,0.250368498642,\n",
+    ("certify", "--method", "torus-min", "--format", "json"):
+        '[{"method": "torus-min", "certified": 1, "sigma_min_lower": 3.994112699571175, '
+        '"inverse_norm_upper": 0.25036849864235555, "reason": ""}]\n',
+}
+
+
+@pytest.mark.parametrize("argv", sorted(Z2_GOLDEN), ids=" ".join)
+def test_torus_golden(capsys, tmp_path, argv):
+    p = tmp_path / "z2.gre"
+    p.write_text(Z2_GRE)
+    code, out, _ = run(capsys, [*argv, "--f", str(p)])
+    assert code == 0
+    assert out == Z2_GOLDEN[argv]
+
+
 def test_cli_determinism(capsys, f_path):
     argv = ["perturb", "--f", f_path, "--schedule", "5,30", "--delta", "0.05",
             "--seed", "7", "--certify", "positive-gap"]

@@ -178,6 +178,17 @@ def test_extremal_scale_guard():
         G.extremal_count(pts, w, math.inf, Fraction(1, 10), "separated")
 
 
+def test_extremal_counts_reject_empty_set():
+    from grdet.dynamics import separated_count_with_greedy
+    w = G.folner_window(C3, 1)
+    for mode in ("separated", "spanning"):
+        with pytest.raises(DomainError):
+            G.extremal_count([], w, math.inf, Fraction(1, 10), mode)
+    # the greedy bound goes through the same checks
+    with pytest.raises(DomainError):
+        separated_count_with_greedy([], w, math.inf, Fraction(1, 10))
+
+
 # ---------------------------------------------------------------------- entropy chain
 
 def test_entropy_examples():

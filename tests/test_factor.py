@@ -125,10 +125,9 @@ def test_sigma_min_sparse_and_dense_agree():
     assert G.factor(M).backend == "superlu"
     sparse = G.sigma_min_estimate(M)
     dense = G.sigma_min_estimate(M.to_float())
-    assert sparse == pytest.approx(dense, rel=1e-9)
-    # inverse iteration approaches sigma_min from above
     exact = np.linalg.svd(M.to_float(), compute_uv=False).min()
-    assert exact * (1 - 1e-12) <= sparse <= exact * (1 + 1e-3)
+    assert sparse == pytest.approx(exact, rel=1e-12)
+    assert dense == pytest.approx(exact, rel=1e-12)
 
 
 # ---------------------------------------------------------------------- singularity

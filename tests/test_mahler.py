@@ -1,10 +1,13 @@
+import cmath
 import math
 import random
+import warnings
 
 import pytest
 
 import grdet as G
 from grdet.errors import DomainError
+from grdet.mahler import ZERO_SYMBOL_FLOOR
 
 Z1 = G.integer_lattice(1)
 Z2 = G.integer_lattice(2)
@@ -30,6 +33,36 @@ def rand_nonvanishing(rng, desc, span=2):
         if rng.random() < 0.5:
             c = -c
         return G.add(G.ring_element(desc, {(0,) * d: c}), r)
+
+
+def oracle_symbol_values(f, N):
+    """|f| at every point of the N-th-roots grid, one point at a time.
+
+    The per-point evaluator mahler_grid used before it shared the torus-min
+    certificate's array evaluation: each value is an exact-rounded sum
+    (math.fsum) of the term contributions.
+    """
+    d = f.descriptor.params[0]
+    table = [cmath.exp(2j * math.pi * j / N) for j in range(N)]
+    terms = [(g.coords, complex(v)) for g, v in f.sorted_terms()]
+    out = []
+    for flat in range(N ** d):
+        k = []
+        rem = flat
+        for _ in range(d):
+            k.append(rem % N)
+            rem //= N
+        k.reverse()
+        parts = [c * table[sum(e * ki for e, ki in zip(exp, k)) % N] for exp, c in terms]
+        re = math.fsum(p.real for p in parts)
+        im = math.fsum(p.imag for p in parts)
+        out.append(math.hypot(re, im))
+    return out
+
+
+def oracle_mahler_grid(f, N):
+    logs = [math.log(v) for v in oracle_symbol_values(f, N) if v >= ZERO_SYMBOL_FLOOR]
+    return math.fsum(logs) / len(logs)
 
 
 def test_mahler_roots_examples():
@@ -63,6 +96,22 @@ def test_mahler_grid_examples():
     assert G.mahler_grid(zpoly({0: 2}), 8) == pytest.approx(math.log(2), rel=1e-14)
     f3 = zpoly({0: 3, 1: 1, -1: 1})
     assert abs(G.mahler_grid(f3, 64) - G.mahler_roots(f3)) < 1e-10
+
+
+def test_mahler_grid_matches_per_point_oracle():
+    rng = random.Random(4096)
+    for i in range(24):
+        desc = Z1 if i % 2 else Z2
+        d = desc.params[0]
+        terms = {tuple(rng.randint(-3, 3) for _ in range(d)): rng.randint(-5, 5)
+                 for _ in range(rng.randint(1, 5))}
+        f = G.ring_element(desc, terms)
+        if not f:
+            continue
+        for N in (2, rng.randint(3, 64), 64):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # grid points on torus zeros
+                assert abs(G.mahler_grid(f, N) - oracle_mahler_grid(f, N)) <= 1e-15
 
 
 def test_mahler_grid_defect_warning():

@@ -155,6 +155,19 @@ def test_sigma_min_examples():
     assert G.sigma_min_estimate(np.zeros((2, 2))) == 0.0
 
 
+def test_sigma_min_matches_svd():
+    # the smallest singular vector of this tridiagonal matrix is orthogonal
+    # to the all-ones vector, so an iteration started there misses it
+    n = 256
+    A = 4 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    # an 801-point Z^1 compression, factored by SuperLU
+    M = G.compress(zpoly({0: 3, 1: 1, -2: 1}), window_range(801))
+    assert G.factor(M).backend == "superlu"
+    for X, dense in ((A, A), (A.astype(np.complex128), A), (M, M.to_float())):
+        exact = np.linalg.svd(dense, compute_uv=False).min()
+        assert G.sigma_min_estimate(X) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
 def test_sigma_min_dominates_certificate_on_windows():
     # positive f: compressions cannot shrink the spectral gap
     f = zpoly({0: 3, 1: 1, -1: 1})
