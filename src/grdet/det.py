@@ -21,7 +21,8 @@ Four routes to log-determinant data live here:
   * build_perturbed_compression / perturbation_study
                      -- low-rank rational perturbations of compressions
                         with norm-controlled transfer blocks, which keep
-                        the same normalized limit.
+                        the same normalized limit; tile interiors and
+                        placements come from groups.window_translates.
 
 fk_finite_sections and perturbation_study share one table loop, _section_rows.
 """
@@ -36,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DescriptorMismatch, DomainError
 from . import groups, ring
 from .factorization import factor
 from .groups import FolnerWindow
@@ -148,14 +149,6 @@ class _SnfState:
             self.V[i], self.V[j] = self.V[j], self.V[i]
             for row in self.W:
                 row[i], row[j] = row[j], row[i]
-
-    def negate_col(self, i):
-        for row in self.A:
-            row[i] = -row[i]
-        if self.transforms:
-            self.V[i] = [-x for x in self.V[i]]
-            for row in self.W:
-                row[i] = -row[i]
 
     def addmul_col(self, i, j, q):
         # col_i += q * col_j
@@ -699,46 +692,41 @@ def build_perturbed_compression(
     """
     from . import dynamics
 
+    if any(W.descriptor != f.descriptor for W in (F, *tiles)):
+        raise DescriptorMismatch("window or tile over a different group than f")
     if f.domain != ring.INT:
         raise DomainError("perturbed compressions need exact-integer symbols")
     if not (0 < epsilon < 2):
         raise DomainError("epsilon must lie in (0, 2)")
     _, kernel = ring.l1_norm_and_kernel(f)
-    mul = groups.coordinate_multiplier(f.descriptor)
+    kernel_coords = [k.coords for k in kernel]
 
     interiors = []
     for t_idx, W in enumerate(tiles):
-        wset = set(W.index)
-        inner = [
-            g for g in W.elements
-            if all(groups.GroupElement(f.descriptor, mul(k.coords, g.coords)) in wset for k in kernel)
-        ]
-        if len(inner) < (1 - epsilon / 2) * len(W):
+        interior = (groups.window_translates(W, kernel_coords) >= 0).all(axis=0)
+        inner = int(np.count_nonzero(interior))
+        if inner < (1 - epsilon / 2) * len(W):
             raise DomainError(
                 f"tile {t_idx} violates the interior condition: "
-                f"{len(inner)}/{len(W)} interior points at epsilon={epsilon}"
+                f"{inner}/{len(W)} interior points at epsilon={epsilon}"
             )
-        interiors.append(inner)
+        interiors.append(interior)
 
     # the tiling epsilon (coverage target) is separate from the interior
     # level and must fit quasitile's (0, 1/2) contract
     tiling = dynamics.quasitile(F, tiles, min(epsilon / 2, 0.499), mode="pairwise-disjoint")
 
-    # per tile shape: exact null data for (f C[W'])^perp inside C[W]
+    # per tile shape: exact null data for (f C[W'])^perp inside C[W], and
+    # the positions in F of W.F[j] in column j
     shape_data = {}
     for t_idx in sorted({ti for ti, _ in tiling.placements}):
         W = tiles[t_idx]
-        inner = interiors[t_idx]
-        inner_set = set(inner)
-        comp = [g for g in W.elements if g not in inner_set]
+        inner = np.flatnonzero(interiors[t_idx]).tolist()
+        comp = np.flatnonzero(~interiors[t_idx]).tolist()
         if comp:
             # columns of f over the interior, rows over the tile
-            A = [[0] * len(inner) for _ in range(len(W))]
-            for j, g in enumerate(inner):
-                for k, v in f.terms.items():
-                    tgt = groups.GroupElement(f.descriptor, mul(k.coords, g.coords))
-                    A[W.index[tgt]][j] = int(v)
-            null_basis = _rational_nullspace([list(col) for col in zip(*A)])
+            rows = compress(f, W).to_int_rows()
+            null_basis = _rational_nullspace([[row[j] for row in rows] for j in inner])
             if len(null_basis) != len(comp):
                 raise DomainError(
                     f"tile {t_idx}: f is rank-deficient on the tile interior; "
@@ -751,43 +739,42 @@ def build_perturbed_compression(
                     mj = mj * x.denominator // math.gcd(mj, x.denominator)
         else:
             vectors, nrm, inv_nrm, mj = [], 1.0, 1.0, 1
-        shape_data[t_idx] = (inner, comp, vectors, TileTransfer(t_idx, mj, nrm, inv_nrm))
+        pos = groups.window_translates(F, [w.coords for w in W.elements])
+        shape_data[t_idx] = (inner, comp, vectors, pos, TileTransfer(t_idx, mj, nrm, inv_nrm))
 
     n = len(F)
     S = [[Fraction(0)] * n for _ in range(n)]
     base = compress(f, F)
-    fF = [[0] * n for _ in range(n)]
+    columns = [[] for _ in range(n)]
     for r, c, v in zip(base.rows, base.cols, base.vals):
-        fF[r][c] = int(v)
+        if v:
+            columns[c].append((r, Fraction(v)))
 
-    covered_cols = set()
+    covered = np.zeros(n, dtype=bool)
     for t_idx, center in tiling.placements:
-        inner, comp, vectors, _ = shape_data[t_idx]
-        W = tiles[t_idx]
+        inner, comp, vectors, pos, _ = shape_data[t_idx]
+        translate = pos[:, F.index[center]].tolist()
         # interior columns: f itself (fully supported inside the translate)
-        for g in inner:
-            col = F.index[groups.multiply(g, center)]
-            covered_cols.add(col)
-            for i in range(n):
-                if fF[i][col]:
-                    S[i][col] = Fraction(fF[i][col])
-        for g, vec in zip(comp, vectors):
-            col = F.index[groups.multiply(g, center)]
-            covered_cols.add(col)
-            for w, x in zip(W.elements, vec):
+        for i in inner:
+            col = translate[i]
+            for r, x in columns[col]:
+                S[r][col] = x
+        for i, vec in zip(comp, vectors):
+            col = translate[i]
+            for r, x in zip(translate, vec):
                 if x:
-                    S[F.index[groups.multiply(w, center)]][col] = x
-    for col in range(n):
-        if col not in covered_cols:
-            S[col][col] = Fraction(1)
+                    S[r][col] = x
+        covered[translate] = True
+    for col in np.flatnonzero(~covered).tolist():
+        S[col][col] = Fraction(1)
 
     Sf = np.array([[float(x) for x in row] for row in S])
-    diff = Sf - np.array(fF, dtype=np.float64)
+    diff = Sf - base.to_float()
     rank_defect = int(np.linalg.matrix_rank(diff)) if np.any(diff) else 0
     denominator = 1
     transfers = []
     for t_idx in sorted(shape_data):
-        tr = shape_data[t_idx][3]
+        tr = shape_data[t_idx][4]
         transfers.append(tr)
         denominator *= tr.denominator
     return PerturbedCompression(

@@ -8,6 +8,10 @@ When the full-group compression M is nonsingular, X_f is finite with
 exactly |det M| elements, enumerated through the Smith normal form:
 with M = U D V, the solutions are h = V^-1 y over y_i in {0, 1/d_i, ...},
 each verified exactly in modular arithmetic.
+
+quasitile reads every tile translate from groups.window_translates;
+verify_tiling re-checks a tiling element by element on purpose, so that it
+stays independent of the kernel it checks.
 """
 
 from __future__ import annotations
@@ -374,7 +378,10 @@ def count_lattice_ball(k: int, R) -> int:
     """Exact number of integer vectors in dimension k with l2 norm <= R."""
     if not (isinstance(k, int) and 1 <= k <= BALL_DIM_LIMIT):
         raise ScaleExceeded(f"dimension must be an integer in [1, {BALL_DIM_LIMIT}]")
-    r2 = Fraction(R) ** 2
+    R = Fraction(R)
+    if R < 0:
+        raise DomainError("radius must be nonnegative")
+    r2 = R ** 2
     if r2 > BALL_RADIUS_LIMIT ** 2:
         raise ScaleExceeded(f"radius must be at most {BALL_RADIUS_LIMIT}")
 
@@ -440,34 +447,23 @@ def quasitile(
         if W.descriptor != F.descriptor:
             raise DomainError("tiles must live over the window's group")
     order = sorted(range(len(tiles)), key=lambda i: (-len(tiles[i]), i))
-    mul = groups.coordinate_multiplier(F.descriptor)
-    fcoords = {g.coords for g in F.elements}
-    covered: set = set()
+    covered = np.zeros(len(F), dtype=bool)
     placements = []
     for ti in order:
         W = tiles[ti]
-        wcoords = [w.coords for w in W.elements]
-        wlen = len(W)
-        for c in F.elements:
-            cc = c.coords
-            translate = []
-            for w in wcoords:
-                t = mul(w, cc)
-                if t not in fcoords:
-                    translate = None
-                    break
-                translate.append(t)
-            if translate is None:
-                continue
-            overlap = sum(1 for t in translate if t in covered)
+        # column j holds the positions in F of W.F[j]
+        pos = groups.window_translates(F, [w.coords for w in W.elements])
+        for j in np.flatnonzero((pos >= 0).all(axis=0)).tolist():
+            translate = pos[:, j]
+            overlap = int(np.count_nonzero(covered[translate]))
             if mode == "pairwise-disjoint":
                 if overlap:
                     continue
-            elif overlap >= eps * wlen:
+            elif overlap >= eps * len(W):
                 continue
-            covered.update(translate)
-            placements.append((ti, c))
-    coverage = Fraction(len(covered), len(F))
+            covered[translate] = True
+            placements.append((ti, F.elements[j]))
+    coverage = Fraction(int(np.count_nonzero(covered)), len(F))
     return Tiling(F, tuple(tiles), tuple(placements), coverage, mode, eps)
 
 

@@ -261,7 +261,9 @@ def inverse(g: GroupElement) -> GroupElement:
 # ---------------------------------------------------------------------------
 # vectorized coordinate kernel
 #
-# Elements become rows of an int64 array.  Lattice, Heisenberg and cyclic
+# Compressions, power walks, boundary ratios, quasitilings and perturbed
+# compressions all translate through it.  Elements become rows of an int64
+# array.  Lattice, Heisenberg and cyclic
 # rows are the coordinates themselves; free-group words are interned to ids
 # by the CoordinateArrays object that made the rows, so rows made by
 # different objects must not be mixed.
@@ -596,21 +598,36 @@ def _box_coords_array(box) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _box_outside_count(desc: GroupDescriptor, box, K_coords) -> int:
-    """|KF \\ F| for a standard box window F, computed with numpy."""
+def _boundary_count(desc: GroupDescriptor, K_coords, box=None, F_coords=()) -> int:
+    """|KF symm-diff F| for F the standard box ``box``, or else the window
+    with coordinates F_coords, computed with numpy.
+
+    A box needs the identity in K: F then lies inside KF and membership is
+    arithmetic.  Otherwise a KeyIndex of F's rows finds members, and the
+    window positions no translate hits count as F \\ KF.
+    """
     arrays = CoordinateArrays(desc)
-    arr = _box_coords_array(box)
-    bounds = _column_bounds(arr)
+    if box is None:
+        F_rows = arrays.rows(F_coords)
+        index, missed = KeyIndex(F_rows), np.ones(len(F_rows), dtype=bool)
+    else:
+        F_rows, index, missed = _box_coords_array(box), None, np.zeros(0, dtype=bool)
+    bounds = _column_bounds(F_rows)
     pieces = []
     # one translate at a time: Heisenberg boxes reach millions of rows
     for k in arrays.rows(K_coords):
-        shifted = arrays.translate(k[None, :], arr, bounds)[0][0]
-        outside = shifted[~_box_contains(box, shifted)]
+        shifted = arrays.translate(k[None, :], F_rows, bounds)[0][0]
+        if index is None:
+            inside = _box_contains(box, shifted)
+        else:
+            at = index.find(shifted)
+            inside = at >= 0
+            missed[at[inside]] = False
+        outside = shifted[~inside]
         if len(outside):
             pieces.append(outside)
-    if not pieces:
-        return 0
-    return len(KeyIndex.distinct(np.vstack(pieces))[0].rows)
+    count = len(KeyIndex.distinct(np.vstack(pieces))[0].rows) if pieces else 0
+    return count + int(np.count_nonzero(missed))
 
 
 def boundary_ratio(window: FolnerWindow, K) -> Fraction:
@@ -621,16 +638,10 @@ def boundary_ratio(window: FolnerWindow, K) -> Fraction:
     for k in K:
         if k.descriptor != window.descriptor:
             raise DescriptorMismatch("K element over wrong group")
-    has_identity = any(k.coords == identity(window.descriptor).coords for k in K)
-    if window._box is not None and has_identity:
-        # F subset of KF, so the symmetric difference is KF \ F
-        out = _box_outside_count(window.descriptor, window._box, [k.coords for k in K])
-        return Fraction(out, len(window))
-    mul = coordinate_multiplier(window.descriptor)
-    fset = {g.coords for g in window.elements}
-    kf = {mul(k.coords, c) for k in K for c in fset}
-    sym = len(kf - fset) + len(fset - kf)
-    return Fraction(sym, len(window))
+    K = [k.coords for k in K]
+    box = window._box if identity(window.descriptor).coords in K else None
+    count = _boundary_count(window.descriptor, K, box, (g.coords for g in window.elements))
+    return Fraction(count, len(window))
 
 
 def box_boundary_ratio(desc: GroupDescriptor, n: int, K) -> Fraction:
@@ -655,5 +666,5 @@ def box_boundary_ratio(desc: GroupDescriptor, n: int, K) -> Fraction:
         raise DomainError("K must be nonempty")
     if not any(k.coords == identity(desc).coords for k in K):
         raise DomainError("box_boundary_ratio requires the identity in K")
-    out = _box_outside_count(desc, box, [k.coords for k in K])
+    out = _boundary_count(desc, [k.coords for k in K], box)
     return Fraction(out, size)

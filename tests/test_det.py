@@ -8,7 +8,7 @@ import pytest
 
 import grdet as G
 from grdet.det import TableRow, det_exact
-from grdet.errors import DomainError
+from grdet.errors import DescriptorMismatch, DomainError
 
 Z1 = G.integer_lattice(1)
 Z2 = G.integer_lattice(2)
@@ -299,6 +299,18 @@ def test_build_perturbed_compression_interior_violation():
     thin = window_range(2)  # interior of {0,1} under K={-1,0,1} is empty
     with pytest.raises(DomainError, match="interior"):
         G.build_perturbed_compression(F3, F, [thin], 0.1)
+
+
+@pytest.mark.parametrize("other", [Z2, G.cyclic_product([5])], ids=str)
+def test_build_perturbed_compression_rejects_other_groups(other):
+    F = window_range(10)
+    foreign = G.folner_window(other, 1)
+    with pytest.raises(DescriptorMismatch):
+        G.build_perturbed_compression(F3, F, [foreign], 0.8)
+    with pytest.raises(DescriptorMismatch):
+        G.build_perturbed_compression(F3, F, [window_range(5), foreign], 0.8)
+    with pytest.raises(DescriptorMismatch):
+        G.build_perturbed_compression(F3, foreign, [window_range(5)], 0.8)
 
 
 def test_build_perturbed_compression_randomized_z2():

@@ -245,6 +245,14 @@ def test_count_lattice_ball_guards():
         G.count_lattice_ball(2, 50)
 
 
+def test_count_lattice_ball_rejects_negative_radius():
+    # the radius is squared: -3 must not count the radius-3 ball
+    with pytest.raises(DomainError, match="nonnegative"):
+        G.count_lattice_ball(2, -3)
+    with pytest.raises(DomainError, match="nonnegative"):
+        G.count_lattice_ball(1, Fraction(-1, 2))
+
+
 # ---------------------------------------------------------------------- quasitiling
 
 def interval_window(a, b):
