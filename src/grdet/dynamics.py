@@ -9,6 +9,16 @@ exactly |det M| elements, enumerated through the Smith normal form:
 with M = U D V, the solutions are h = V^-1 y over y_i in {0, 1/d_i, ...},
 each verified exactly in modular arithmetic.
 
+Separated and spanning counts (the l^p Bowen entropy at finite scale)
+never leave the integers: a dual's solutions are int64 numerators over one
+denominator D, and any other point set is put over the lcm of its
+denominators.  One kernel, _relation_bitsets, compares the l^1, l^2 or
+l^inf orbit statistic of every pair with eps exactly, by cross-multiplying,
+in row blocks, and returns the relation as one Python-int bitset per point.
+The exact searches run on those bitsets: a maximum clique by Tomita and
+Seki's colouring bound (MCQ) and a minimum cover bounded by disjoint balls,
+each split over the components of the graph that makes it separable.
+
 quasitile reads every tile translate from groups.window_translates;
 verify_tiling re-checks a tiling element by element on purpose, so that it
 stays independent of the kernel it checks.
@@ -195,131 +205,255 @@ def orbit_distance(x: TorusVector, y: TorusVector, F, p) -> float:
     raise DomainError("p must be 1, 2 or inf")
 
 
-def _pairwise_relation(points, elems, p, eps):
-    """Exact boolean matrices: d > eps (strict) and d <= eps."""
-    eps = Fraction(eps) if all(pt.is_exact() for pt in points) else float(eps)
-    m = len(points)
-    coord_rows = []
-    for pt in points:
-        coord_rows.append([pt.coordinate(g) for g in elems])
-    sep = [[False] * m for _ in range(m)]
-    near = [[True] * m for _ in range(m)]
-    nF = len(elems)
-    if p == 2:
-        thr = eps * eps * nF
+# rows per block of the relation kernel are chosen so that one block's
+# (rows x m x |F|) arrays stay near this many entries (128 KiB as int64);
+# on the 129-point dual this was faster than 2^17 entries and peaked at
+# a fifth of the memory
+_RELATION_BLOCK = 1 << 14
+
+
+def _relation_bitsets(H: np.ndarray, D: int, p, eps: Fraction) -> list[int]:
+    """Bit j of row i is set when d(x_i, x_j) > eps (strict), i != j.
+
+    Row i of H holds the numerators over D (each in [0, D)) of x_i at the
+    positions of F.  Circle distances are counted in units of 1/D, and each
+    statistic is compared with eps = a/b (b > 0) by cross-multiplying:
+
+        l^inf:  b max       > a D          <=>  max   > floor(a D / b)
+        l^1:    b sum       > a |F| D      <=>  sum   > floor(a |F| D / b)
+        l^2:    b^2 sumsq   > a^2 |F| D^2  <=>  sumsq > floor(a^2 |F| D^2 / b^2)
+
+    No statistic exceeds |F| D^2 / 4, so int64 holds every value whenever
+    |F| D^2 < 2^62 (the clamped threshold included); otherwise the arrays
+    hold Python ints.  Rows go in blocks, so the full m x m x |F| array of
+    distances is never built.
+    """
+    m, k = H.shape
+    a, b = eps.numerator, eps.denominator
+    half = D // 2
+    if p == math.inf or p == "inf":
+        thr, top = a * D // b, half
     elif p == 1:
-        thr = eps * nF
+        thr, top = a * k * D // b, k * half
     else:
-        thr = eps
-    for i in range(m):
-        for j in range(i + 1, m):
-            if p == math.inf or p == "inf":
-                stat = max(circle_distance(a, b) for a, b in zip(coord_rows[i], coord_rows[j]))
-            elif p == 1:
-                stat = sum(circle_distance(a, b) for a, b in zip(coord_rows[i], coord_rows[j]))
-            else:
-                stat = sum(
-                    circle_distance(a, b) ** 2
-                    for a, b in zip(coord_rows[i], coord_rows[j])
-                )
-            gt = stat > thr
-            sep[i][j] = sep[j][i] = gt
-            near[i][j] = near[j][i] = not gt
-    return sep, near
+        thr, top = a * a * k * D * D // (b * b), k * half * half
+    thr = max(-1, min(thr, top))
+    dtype = np.int64 if k * D * D < 2 ** 62 else object
+    H = np.asarray(H).astype(dtype)
+    step = max(1, _RELATION_BLOCK // max(1, m * k))
+    bits: list[int] = []
+    for i0 in range(0, m, step):
+        diff = np.abs(H[i0:i0 + step, None, :] - H[None, :, :])
+        dist = np.minimum(diff, D - diff)
+        if p == math.inf or p == "inf":
+            stat = dist.max(axis=2)
+        elif p == 1:
+            stat = dist.sum(axis=2)
+        else:
+            stat = (dist * dist).sum(axis=2)
+        sep = stat > thr
+        rows = np.arange(sep.shape[0])
+        sep[rows, i0 + rows] = False
+        packed = np.packbits(sep, axis=1, bitorder="little")
+        bits.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return bits
 
 
-def _max_clique(adj) -> tuple[int, int]:
-    """Exact maximum clique size plus the greedy lower bound."""
+def _bits(s: int):
+    """The positions of the set bits of s, in increasing order."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+def _components(near: list[int]) -> list[int]:
+    """Connected components, as bitsets, of the graph whose closed
+    neighbourhoods are the bitsets near[v]."""
+    remaining = (1 << len(near)) - 1
+    comps = []
+    while remaining:
+        comp = frontier = remaining & -remaining
+        while frontier:
+            low = frontier & -frontier
+            grown = near[low.bit_length() - 1] & ~comp
+            comp |= grown
+            frontier = (frontier ^ low) | grown
+        comps.append(comp)
+        remaining &= ~comp
+    return comps
+
+
+def _max_clique(adj: list[int]) -> tuple[int, int]:
+    """Exact maximum clique size plus the greedy lower bound.
+
+    adj[v] is the neighbourhood of v as a bitset.  The greedy clique visits
+    nodes by decreasing degree, ties by index.  Nodes in different
+    components of the complement graph are all adjacent, so the maximum
+    clique is the sum of the maxima over those components; each is found
+    by Tomita and Seki's MCQ (DMTCS 2003) on bitsets, seeded by the greedy
+    clique's share.  Nodes are relabelled in the greedy order, each branch
+    colours its candidates greedily, and a candidate whose colour number
+    cannot lift the clique above the best size found is cut together with
+    every candidate coloured before it.
+    """
     m = len(adj)
-    order = sorted(range(m), key=lambda v: -sum(adj[v]))
-    greedy: list[int] = []
+    order = sorted(range(m), key=lambda v: -adj[v].bit_count())
+    greedy = 0
     for v in order:
-        if all(adj[v][u] for u in greedy):
-            greedy.append(v)
-    best = len(greedy)
+        if adj[v] & greedy == greedy:
+            greedy |= 1 << v
 
-    neighbors = [frozenset(u for u in range(m) if adj[v][u]) for v in range(m)]
+    # relabel: bit i stands for node order[i]
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = [sum(1 << pos[u] for u in _bits(adj[v])) for v in order]
+    start = sum(1 << pos[v] for v in _bits(greedy))
 
-    def expand(size: int, cand: frozenset):
+    def colour_sort(cand: int):
+        nodes, colours = [], []
+        colour = 0
+        while cand:
+            colour += 1
+            free = cand
+            while free:
+                low = free & -free
+                v = low.bit_length() - 1
+                free &= ~nbrs[v] & ~low
+                cand ^= low
+                nodes.append(v)
+                colours.append(colour)
+        return nodes, colours
+
+    def expand(size: int, cand: int):
         nonlocal best
-        if size + len(cand) <= best:
-            return
-        if not cand:
-            best = max(best, size)
-            return
-        rest = set(cand)
-        while rest:
-            if size + len(rest) <= best:
+        nodes, colours = colour_sort(cand)
+        for v, colour in zip(reversed(nodes), reversed(colours)):
+            if size + colour <= best:
                 return
-            v = max(rest, key=lambda u: len(neighbors[u] & rest))
-            rest.discard(v)
-            expand(size + 1, frozenset(rest) & neighbors[v])
+            sub = cand & nbrs[v]
+            if sub:
+                expand(size + 1, sub)
+            elif size + 1 > best:
+                best = size + 1
+            cand &= ~(1 << v)
 
-    expand(0, frozenset(range(m)))
-    return best, len(greedy)
+    full = (1 << m) - 1
+    total = 0
+    for comp in _components([full ^ row for row in nbrs]):
+        best = (start & comp).bit_count()
+        expand(0, comp)
+        total += best
+    return total, greedy.bit_count()
 
 
-def _min_cover(balls) -> int:
-    """Exact minimum number of balls covering every point."""
+def _min_cover(balls: list[int]) -> int:
+    """Exact minimum number of balls covering every point.
+
+    balls[i] is the closed eps-ball around point i as a bitset; the relation
+    is symmetric, so the balls that contain point x are those centred in
+    balls[x], and a ball never leaves the component of its centre in the
+    graph of the balls.  The minimum is the sum over those components.
+    Each component starts from a greedy cover; each branch covers the
+    uncovered point with the fewest covering balls, skipping a ball whose
+    uncovered share lies inside another's, and is cut by two lower
+    bounds: the uncovered count over the largest ball, and a set of
+    uncovered points whose balls are pairwise disjoint (no ball contains
+    two of them, so each needs its own).
+    """
     m = len(balls)
-    universe = frozenset(range(m))
-    greedy_cover = 0
-    covered: set = set()
-    while covered != universe:
-        pick = max(range(m), key=lambda i: len(balls[i] - covered))
-        covered |= balls[pick]
-        greedy_cover += 1
-    best = greedy_cover
-    maxball = max(len(b) for b in balls)
+    maxball = max(b.bit_count() for b in balls)
+    # points in order of fewest covering balls, ties by index
+    by_degree = sorted(range(m), key=lambda x: balls[x].bit_count())
 
-    def search(uncovered: frozenset, used: int):
+    def search(uncovered: int, used: int):
         nonlocal best
         if not uncovered:
             best = min(best, used)
             return
-        if used + math.ceil(len(uncovered) / maxball) >= best:
+        if used + -(-uncovered.bit_count() // maxball) >= best:
             return
-        target = min(uncovered, key=lambda x: sum(x in b for b in balls))
-        for i in range(m):
-            if target in balls[i]:
-                search(uncovered - balls[i], used + 1)
+        packing, blocked, target = 0, 0, -1
+        for x in by_degree:
+            if uncovered >> x & 1 and not balls[x] & blocked:
+                if target < 0:
+                    target = x
+                packing += 1
+                blocked |= balls[x]
+        if used + packing >= best:
+            return
+        # the uncovered shares of the balls containing target, largest
+        # first; a share inside another one is never needed
+        shares = sorted({balls[c] & uncovered for c in _bits(balls[target])},
+                        key=lambda s: -s.bit_count())
+        kept: list[int] = []
+        for s in shares:
+            if all(s & ~k for k in kept):
+                kept.append(s)
+                search(uncovered & ~s, used + 1)
 
-    search(universe, 0)
-    return best
+    total = 0
+    for comp in _components(balls):
+        best, covered = 0, 0
+        while covered != comp:
+            pick = max(_bits(comp), key=lambda i: (balls[i] & ~covered).bit_count())
+            covered |= balls[pick]
+            best += 1
+        search(comp, 0)
+        total += best
+    return total
 
 
-def _extremal_relation(S, F, p, eps):
-    """The checks every extremal count shares, then the (separated, near)
-    adjacency of the points of S over the window F."""
-    points = list(S.vectors() if isinstance(S, DualSolutionSet) else S)
-    if len(points) > EXTREMAL_SCALE_LIMIT:
-        raise ScaleExceeded(f"{len(points)} points exceed the brute-force scale")
-    if not points:
-        raise DomainError("empty point set")
+def _extremal_relation(S, F, p, eps) -> list[int]:
+    """The checks every extremal count shares, then the separated relation
+    of the points of S over F as one bitset per point."""
+    if not (p == math.inf or p == "inf" or p == 1 or p == 2):
+        raise DomainError("p must be 1, 2 or inf")
     elems = list(F.elements if isinstance(F, FolnerWindow) else F)
-    return _pairwise_relation(points, elems, p, eps)
+    points = None if isinstance(S, DualSolutionSet) else list(S)
+    count = S.count if points is None else len(points)
+    if count > EXTREMAL_SCALE_LIMIT:
+        raise ScaleExceeded(f"{count} points exceed the brute-force scale")
+    if not count:
+        raise DomainError("empty point set")
+    if points is None:
+        cols = [S.window.index[g] for g in elems]
+        H, D = np.asarray(S.numerators)[:, cols], S.denominator
+    else:
+        # exact values over one denominator; a float enters by its binary value
+        rows = [[Fraction(pt.coordinate(g)) for g in elems] for pt in points]
+        D = math.lcm(*(x.denominator for row in rows for x in row))
+        H = np.array([[x.numerator * (D // x.denominator) for x in row] for row in rows],
+                     dtype=object).reshape(count, len(elems))
+    return _relation_bitsets(H, D, p, Fraction(eps))
 
 
 def extremal_count(S, F, p, eps, mode: str) -> int:
     """Maximal separated or minimal spanning cardinality, both exact.
 
-    Separated: maximum clique of the graph with edges d > eps (strict),
-    branch-and-bound seeded by a greedy clique.  Spanning: exact minimum
-    set cover by the closed eps-balls around the points.  Instances above
-    4096 points are rejected, not approximated.
+    S is a DualSolutionSet, whose integer numerators feed the relation
+    directly (materialized or not), or a sequence of TorusVectors, whose
+    coordinates are taken exactly (floats by their binary value) over one
+    common denominator.  p is 1, 2 or inf; the relation d > eps (strict)
+    is computed exactly on integers by the row-blocked kernel
+    _relation_bitsets.  Separated: maximum clique of that graph, a greedy
+    clique refined by MCQ's colouring-bounded branch-and-bound.  Spanning:
+    exact minimum set cover by the closed eps-balls, bounded by disjoint
+    balls around uncovered points.  Point sets above 4096 are rejected, not
+    approximated; that limit bounds memory (m^2 bits of relation), while
+    search time depends on the graph, exponential in the worst case.
     """
-    sep, near = _extremal_relation(S, F, p, eps)
+    sep = _extremal_relation(S, F, p, eps)
     if mode == "separated":
         return _max_clique(sep)[0]
     if mode == "spanning":
-        return _min_cover([frozenset(j for j, x in enumerate(row) if x) for row in near])
+        full = (1 << len(sep)) - 1
+        return _min_cover([full ^ row for row in sep])
     raise DomainError("mode must be 'separated' or 'spanning'")
 
 
 def separated_count_with_greedy(S, F, p, eps) -> tuple[int, int]:
     """(exact separated count, greedy lower bound) for reporting."""
-    sep, _ = _extremal_relation(S, F, p, eps)
-    return _max_clique(sep)
+    return _max_clique(_extremal_relation(S, F, p, eps))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 import grdet as G
+from grdet.dynamics import _extremal_relation, _max_clique, _min_cover, separated_count_with_greedy
 from grdet.errors import DomainError, ScaleExceeded, SingularCompression
 
 C2 = G.cyclic_product([2])
@@ -187,6 +190,290 @@ def test_extremal_counts_reject_empty_set():
     # the greedy bound goes through the same checks
     with pytest.raises(DomainError):
         separated_count_with_greedy([], w, math.inf, Fraction(1, 10))
+
+
+def test_extremal_counts_reject_bad_p():
+    dual = G.solve_dual_finite(cyc_elem(C5, {0: 2, 1: 1}), C5)
+    assert dual.count == 33
+    for p in (3, 0, -1, 1.5, "2", "l2", None):
+        for mode in ("separated", "spanning"):
+            with pytest.raises(DomainError, match="p must be"):
+                G.extremal_count(dual, dual.window, p, Fraction(1, 5), mode)
+        with pytest.raises(DomainError, match="p must be"):
+            separated_count_with_greedy(dual, dual.window, p, Fraction(1, 5))
+    for p in (1, 2, math.inf, "inf", 2.0):
+        G.extremal_count(dual, dual.window, p, Fraction(1, 5), "separated")
+
+
+def test_extremal_counts_on_non_materialized_dual():
+    f = cyc_elem(C5, {0: 2, 1: 1})
+    lazy = G.solve_dual_finite(f, C5, materialize_limit=0)
+    full = G.solve_dual_finite(f, C5)
+    assert lazy.solutions is None and lazy.count == 33
+    for p in (1, 2, math.inf):
+        for eps in (Fraction(1, 100), Fraction(1, 12), Fraction(1, 5), Fraction(1, 2)):
+            for mode in ("separated", "spanning"):
+                assert (G.extremal_count(lazy, lazy.window, p, eps, mode)
+                        == G.extremal_count(full.vectors(), full.window, p, eps, mode))
+            assert (separated_count_with_greedy(lazy, lazy.window, p, eps)
+                    == separated_count_with_greedy(full, full.window, p, eps))
+
+
+# ---------------------------------------------------------------------- relation oracle
+#
+# The per-pair Fraction loop below is the relation the integer kernel
+# (dynamics._relation_bitsets) replaced, kept verbatim as the reference, with
+# the greedy clique that grdet separated reports.
+
+def oracle_circle_distance(s, t):
+    d = (s - t) % 1
+    return min(d, 1 - d)
+
+
+def oracle_pairwise_relation(points, elems, p, eps):
+    """Exact boolean matrices: d > eps (strict) and d <= eps."""
+    eps = Fraction(eps) if all(pt.is_exact() for pt in points) else float(eps)
+    m = len(points)
+    coord_rows = []
+    for pt in points:
+        coord_rows.append([pt.coordinate(g) for g in elems])
+    sep = [[False] * m for _ in range(m)]
+    near = [[True] * m for _ in range(m)]
+    nF = len(elems)
+    if p == 2:
+        thr = eps * eps * nF
+    elif p == 1:
+        thr = eps * nF
+    else:
+        thr = eps
+    for i in range(m):
+        for j in range(i + 1, m):
+            if p == math.inf or p == "inf":
+                stat = max(oracle_circle_distance(a, b) for a, b in zip(coord_rows[i], coord_rows[j]))
+            elif p == 1:
+                stat = sum(oracle_circle_distance(a, b) for a, b in zip(coord_rows[i], coord_rows[j]))
+            else:
+                stat = sum(
+                    oracle_circle_distance(a, b) ** 2
+                    for a, b in zip(coord_rows[i], coord_rows[j])
+                )
+            gt = stat > thr
+            sep[i][j] = sep[j][i] = gt
+            near[i][j] = near[j][i] = not gt
+    return sep, near
+
+
+def oracle_greedy_clique(adj):
+    m = len(adj)
+    order = sorted(range(m), key=lambda v: -sum(adj[v]))
+    greedy = []
+    for v in order:
+        if all(adj[v][u] for u in greedy):
+            greedy.append(v)
+    return len(greedy)
+
+
+def kernel_relation(S, F, p, eps):
+    bits = _extremal_relation(S, F, p, eps)
+    m = len(bits)
+    sep = [[bool(row >> j & 1) for j in range(m)] for row in bits]
+    near = [[i == j or not sep[i][j] for j in range(m)] for i in range(m)]
+    return sep, near
+
+
+def occurring_eps(points, elems, p, rng):
+    """An eps equal to the orbit distance of some pair, so that the strict
+    and the non-strict comparison disagree on that pair (None for l^2 when
+    no sampled distance is rational)."""
+    for _ in range(20):
+        x, y = rng.sample(points, 2)
+        d = [oracle_circle_distance(Fraction(x.coordinate(g)), Fraction(y.coordinate(g)))
+             for g in elems]
+        if p == math.inf:
+            return max(d)
+        if p == 1:
+            return sum(d) / len(d)
+        sq = sum(v * v for v in d) / len(d)
+        num, den = math.isqrt(sq.numerator), math.isqrt(sq.denominator)
+        if num * num == sq.numerator and den * den == sq.denominator:
+            return Fraction(num, den)
+    return None
+
+
+def random_dual(rng, moduli, limit):
+    """The dual of 2 or 3 plus one or two unit terms, at most limit points."""
+    desc = G.cyclic_product(moduli)
+    elems = G.folner_window(desc, 1).elements
+    for _ in range(100):
+        terms = {g.coords: rng.choice((-1, 1)) for g in rng.sample(elems[1:], rng.randint(1, 2))}
+        terms[elems[0].coords] = rng.randint(2, 3)
+        try:
+            dual = G.solve_dual_finite(G.ring_element(desc, terms), desc, hard_limit=limit)
+        except (SingularCompression, ScaleExceeded):
+            continue
+        if dual.count >= 2:
+            return dual
+    raise AssertionError(f"no dual of at most {limit} points over {moduli}")
+
+
+@pytest.mark.parametrize("moduli", [[3], [4], [5], [6], [2, 2], [2, 3], [2, 2, 2]])
+def test_relation_kernel_matches_oracle_on_duals(moduli):
+    rng = random.Random(str(moduli))
+    dual = random_dual(rng, moduli, 90)
+    pts, window = list(dual.vectors()), dual.window
+    half = len(window) // 2 or 1
+    sub = G.window_from_coords(window.descriptor,
+                               [g.coords for g in rng.sample(window.elements, half)])
+    ties = 0
+    # the whole window, a proper sub-window and a bare element list
+    for F in (window, sub, rng.sample(window.elements, half)):
+        elems = list(F.elements if isinstance(F, G.FolnerWindow) else F)
+        for p in (1, 2, math.inf):
+            eps_list = [Fraction(rng.randint(1, 12), rng.choice((24, 30, 40))), Fraction(1, 2)]
+            tie = occurring_eps(pts, elems, p, rng)
+            if tie is not None:
+                eps_list.append(tie)
+                ties += 1
+            for eps in eps_list:
+                oracle = oracle_pairwise_relation(pts, elems, p, eps)
+                assert kernel_relation(dual, F, p, eps) == oracle
+                assert kernel_relation(pts, F, p, eps) == oracle
+    assert ties  # the non-strict side of the comparison was exercised
+
+
+def test_relation_kernel_matches_oracle_on_point_lists():
+    rng = random.Random(20261)
+    desc = G.cyclic_product([2, 3])
+    w = G.folner_window(desc, 1)
+    sub = [g for g in w.elements][1:4]
+    for den in (6, 35, 1 << 20, (1 << 40) + 15, 3 ** 40):
+        # the last two denominators put |F| D^2 past 2^62: Python-int path
+        for _ in range(2):
+            pts = [G.TorusVector(w, tuple(Fraction(rng.randrange(den), rng.choice((den, 1 + den // 7 or 1)))
+                                          % 1 for _ in range(len(w))))
+                   for _ in range(rng.randint(2, 30))]
+            for F, elems in ((w, list(w.elements)), (sub, sub)):
+                for p in (1, 2, math.inf):
+                    # a negative eps separates every pair but no point from
+                    # itself; eps of any size must not overflow the int64 path
+                    for eps in (Fraction(1, 7), Fraction(rng.randrange(1, den), 3 * den),
+                                occurring_eps(pts, elems, p, rng), Fraction(-1, 10),
+                                Fraction(10 ** 30), Fraction(-(10 ** 30), 7)):
+                        if eps is not None:
+                            assert (kernel_relation(pts, F, p, eps)
+                                    == oracle_pairwise_relation(pts, elems, p, eps))
+
+
+def test_relation_kernel_takes_floats_exactly():
+    rng = random.Random(20262)
+    w = G.folner_window(C3, 1)
+    for _ in range(6):
+        pts = [G.TorusVector(w, tuple(rng.random() for _ in range(3))) for _ in range(25)]
+        exact = [G.TorusVector(w, tuple(Fraction(v) for v in pt.values)) for pt in pts]
+        elems = list(w.elements)
+        for p in (1, 2, math.inf):
+            # a float coordinate is its exact binary value
+            tie = occurring_eps(exact, elems, p, rng)
+            for eps in (0.05, 0.2, rng.random() / 2, tie):
+                if eps is None:
+                    continue
+                assert kernel_relation(pts, w, p, eps) == oracle_pairwise_relation(exact, elems, p, eps)
+            # away from ties the old float comparison agrees as well
+            for eps in (0.05, 0.2, rng.random() / 2):
+                assert kernel_relation(pts, w, p, eps) == oracle_pairwise_relation(pts, elems, p, eps)
+
+
+# ---------------------------------------------------------------------- exact searches
+
+def milp_max_clique(sep):
+    """Maximum clique by integer programming: x_u + x_v <= 1 on non-edges."""
+    m = len(sep)
+    rows = []
+    for u in range(m):
+        for v in range(u + 1, m):
+            if not sep[u][v]:
+                r = np.zeros(m)
+                r[u] = r[v] = 1
+                rows.append(r)
+    cons = [LinearConstraint(np.array(rows), -np.inf, 1)] if rows else []
+    res = milp(-np.ones(m), constraints=cons, integrality=np.ones(m), bounds=Bounds(0, 1))
+    assert res.success
+    return round(-res.fun)
+
+
+def milp_min_cover(near):
+    """Minimum cover by closed balls by integer programming."""
+    m = len(near)
+    A = np.array(near, dtype=float)
+    res = milp(np.ones(m), constraints=[LinearConstraint(A, 1, np.inf)],
+               integrality=np.ones(m), bounds=Bounds(0, 1))
+    assert res.success
+    return round(res.fun)
+
+
+def test_separated_count_45_point_dual():
+    # the dual of 3 + x + y over Z/2 x Z/2 at (inf, 1/5): 945 of 990 pairs
+    # are separated, and a search bounded only by the candidate count did
+    # not finish in 85 s
+    desc = G.cyclic_product([2, 2])
+    f = G.ring_element(desc, {(0, 0): 3, (1, 0): 1, (0, 1): 1})
+    dual = G.solve_dual_finite(f, desc)
+    assert dual.count == 45
+    eps = Fraction(1, 5)
+    sep, near = oracle_pairwise_relation(list(dual.vectors()), list(dual.window.elements),
+                                         math.inf, eps)
+    assert sum(map(sum, sep)) == 2 * 945
+    assert milp_max_clique(sep) == 18
+    assert G.extremal_count(dual, dual.window, math.inf, eps, "separated") == 18
+    assert G.extremal_count(dual, dual.window, math.inf, eps, "spanning") == milp_min_cover(near)
+
+
+def test_clique_and_cover_searches_match_milp_on_random_graphs():
+    rng = random.Random(20264)
+    beaten_clique = beaten_cover = 0
+    for trial in range(40):
+        m = rng.randint(8, 36)
+        density = rng.choice((0.1, 0.2, 0.5, 0.8, 0.9))
+        # about half the graphs fall into two blocks with no edge between
+        # them, so that the split into components is exercised
+        cut = rng.randint(1, m - 1) if trial % 2 else m
+        adj = [[False] * m for _ in range(m)]
+        for u in range(m):
+            for v in range(u + 1, m):
+                if (u < cut) == (v < cut) and rng.random() < density:
+                    adj[u][v] = adj[v][u] = True
+        sep_bits = [sum(1 << v for v in range(m) if adj[u][v]) for u in range(m)]
+        clique, greedy = _max_clique(sep_bits)
+        assert greedy == oracle_greedy_clique(adj)
+        assert clique == milp_max_clique(adj)
+        beaten_clique += clique > greedy
+        # the same graph read as closed balls
+        near = [[u == v or adj[u][v] for v in range(m)] for u in range(m)]
+        ball_bits = [sum(1 << v for v in range(m) if near[u][v]) for u in range(m)]
+        cover = milp_min_cover(near)
+        assert _min_cover(ball_bits) == cover
+        covered, greedy_cover = set(), 0
+        while len(covered) < m:
+            pick = max(range(m), key=lambda i: sum(near[i][j] and j not in covered
+                                                   for j in range(m)))
+            covered |= {j for j in range(m) if near[pick][j]}
+            greedy_cover += 1
+        beaten_cover += greedy_cover > cover
+    # the searches improved on their greedy starts, not just confirmed them
+    assert beaten_clique >= 5 and beaten_cover >= 2
+
+
+def test_extremal_searches_match_milp():
+    rng = random.Random(20263)
+    for moduli in ([3], [4], [5], [6], [2, 2], [2, 3]):
+        dual = random_dual(rng, moduli, 60)
+        pts, elems = list(dual.vectors()), list(dual.window.elements)
+        for p in (1, 2, math.inf):
+            eps = Fraction(rng.randint(1, 12), rng.choice((24, 30, 40)))
+            sep, near = oracle_pairwise_relation(pts, elems, p, eps)
+            assert (separated_count_with_greedy(dual, dual.window, p, eps)
+                    == (milp_max_clique(sep), oracle_greedy_clique(sep)))
+            assert G.extremal_count(dual, dual.window, p, eps, "spanning") == milp_min_cover(near)
 
 
 # ---------------------------------------------------------------------- entropy chain
