@@ -739,7 +739,7 @@ def build_perturbed_compression(
                     mj = mj * x.denominator // math.gcd(mj, x.denominator)
         else:
             vectors, nrm, inv_nrm, mj = [], 1.0, 1.0, 1
-        pos = groups.window_translates(F, [w.coords for w in W.elements])
+        pos = groups.window_translates(F, W.coords)
         shape_data[t_idx] = (inner, comp, vectors, pos, TileTransfer(t_idx, mj, nrm, inv_nrm))
 
     n = len(F)

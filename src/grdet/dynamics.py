@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ScaleExceeded, SingularCompression
+from .errors import DescriptorMismatch, DomainError, ScaleExceeded, SingularCompression
 from . import groups, ring
 from .det import SnfResult, quotient_order, snf, det_exact
 from .groups import FolnerWindow, GroupDescriptor, GroupElement
@@ -86,8 +87,8 @@ class DualSolutionSet:
     """All solutions of f.h = 0 on the dual of a finite group.
 
     numerators[i] / denominator are the coordinates of solution i; the
-    TorusVector list is materialized only up to materialize_limit (the
-    count can exceed any enumeration budget while staying exact).
+    TorusVector list is built on first use, and only up to materialize_limit
+    (the count can exceed any enumeration budget while staying exact).
     """
 
     window: FolnerWindow
@@ -95,10 +96,18 @@ class DualSolutionSet:
     denominator: int
     numerators: np.ndarray
     snf_result: SnfResult
-    solutions: Optional[tuple]
+    materialize_limit: int = EXTREMAL_SCALE_LIMIT
 
     def __len__(self):
         return self.count
+
+    @cached_property
+    def solutions(self) -> Optional[tuple]:
+        if self.count > self.materialize_limit:
+            return None
+        D = self.denominator
+        return tuple(TorusVector(self.window, tuple(Fraction(int(v), D) for v in row))
+                     for row in self.numerators)
 
     def vectors(self):
         if self.solutions is None:
@@ -108,7 +117,7 @@ class DualSolutionSet:
         return self.solutions
 
     def to_csv(self) -> str:
-        header = ",".join("c" + "_".join(str(x) for x in g.coords) for g in self.window.elements)
+        header = ",".join("c" + "_".join(str(x) for x in c) for c in self.window.coords)
         lines = [header]
         for row in np.asarray(self.numerators):
             lines.append(",".join(f"{int(v)}/{self.denominator}" for v in row))
@@ -171,14 +180,7 @@ def solve_dual_finite(
         distinct = len(np.unique(H, axis=0))
     if distinct != count:
         raise AssertionError("dual solutions are not pairwise distinct")
-
-    solutions = None
-    if count <= materialize_limit:
-        solutions = tuple(
-            TorusVector(window, tuple(Fraction(int(num), D) for num in row))
-            for row in H
-        )
-    return DualSolutionSet(window, count, D, H, res, solutions)
+    return DualSolutionSet(window, count, D, H, res, materialize_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +194,10 @@ def orbit_distance(x: TorusVector, y: TorusVector, F, p) -> float:
     """
     if x.window != y.window:
         raise DomainError("points live over different windows")
-    elems = list(F.elements if isinstance(F, FolnerWindow) else F)
-    if not elems:
+    cols = _columns(x.window, F)
+    if not cols:
         raise DomainError("F must be nonempty")
-    dists = [circle_distance(x.coordinate(g), y.coordinate(g)) for g in elems]
+    dists = [circle_distance(x.values[c], y.values[c]) for c in cols]
     if p == math.inf or p == "inf":
         return float(max(dists))
     if p == 1:
@@ -203,6 +205,18 @@ def orbit_distance(x: TorusVector, y: TorusVector, F, p) -> float:
     if p == 2:
         return math.sqrt(float(sum(d * d for d in dists)) / len(dists))
     raise DomainError("p must be 1, 2 or inf")
+
+
+def _columns(window: FolnerWindow, F) -> list:
+    """The positions in window of F, a window or a sequence of elements."""
+    if isinstance(F, FolnerWindow) and F == window:
+        return list(range(len(window)))
+    elems = list(F.elements if isinstance(F, FolnerWindow) else F)
+    if any(g.descriptor != window.descriptor for g in elems):
+        raise DescriptorMismatch("an element of F lies over another group")
+    if not all(g in window.index for g in elems):
+        raise DomainError("an element of F lies outside the points' window")
+    return [window.index[g] for g in elems]
 
 
 # rows per block of the relation kernel are chosen so that one block's
@@ -408,7 +422,6 @@ def _extremal_relation(S, F, p, eps) -> list[int]:
     of the points of S over F as one bitset per point."""
     if not (p == math.inf or p == "inf" or p == 1 or p == 2):
         raise DomainError("p must be 1, 2 or inf")
-    elems = list(F.elements if isinstance(F, FolnerWindow) else F)
     points = None if isinstance(S, DualSolutionSet) else list(S)
     count = S.count if points is None else len(points)
     if count > EXTREMAL_SCALE_LIMIT:
@@ -416,14 +429,13 @@ def _extremal_relation(S, F, p, eps) -> list[int]:
     if not count:
         raise DomainError("empty point set")
     if points is None:
-        cols = [S.window.index[g] for g in elems]
-        H, D = np.asarray(S.numerators)[:, cols], S.denominator
+        H, D = np.asarray(S.numerators)[:, _columns(S.window, F)], S.denominator
     else:
         # exact values over one denominator; a float enters by its binary value
-        rows = [[Fraction(pt.coordinate(g)) for g in elems] for pt in points]
+        rows = [[Fraction(pt.values[c]) for c in _columns(pt.window, F)] for pt in points]
         D = math.lcm(*(x.denominator for row in rows for x in row))
         H = np.array([[x.numerator * (D // x.denominator) for x in row] for row in rows],
-                     dtype=object).reshape(count, len(elems))
+                     dtype=object).reshape(count, len(rows[0]))
     return _relation_bitsets(H, D, p, Fraction(eps))
 
 
@@ -579,14 +591,14 @@ def quasitile(
         raise DomainError("need at least one tile")
     for W in tiles:
         if W.descriptor != F.descriptor:
-            raise DomainError("tiles must live over the window's group")
+            raise DescriptorMismatch("tiles must live over the window's group")
     order = sorted(range(len(tiles)), key=lambda i: (-len(tiles[i]), i))
     covered = np.zeros(len(F), dtype=bool)
     placements = []
     for ti in order:
         W = tiles[ti]
         # column j holds the positions in F of W.F[j]
-        pos = groups.window_translates(F, [w.coords for w in W.elements])
+        pos = groups.window_translates(F, W.coords)
         for j in np.flatnonzero((pos >= 0).all(axis=0)).tolist():
             translate = pos[:, j]
             overlap = int(np.count_nonzero(covered[translate]))
@@ -596,7 +608,7 @@ def quasitile(
             elif overlap >= eps * len(W):
                 continue
             covered[translate] = True
-            placements.append((ti, F.elements[j]))
+            placements.append((ti, GroupElement(F.descriptor, F.coords[j])))
     coverage = Fraction(int(np.count_nonzero(covered)), len(F))
     return Tiling(F, tuple(tiles), tuple(placements), coverage, mode, eps)
 
@@ -609,10 +621,10 @@ def verify_tiling(t: Tiling) -> None:
     eps times the tile size in placement order), and the coverage ratio.
     """
     mul = groups.coordinate_multiplier(t.window.descriptor)
-    fcoords = {g.coords for g in t.window.elements}
+    fcoords = set(t.window.coords)
     covered: set = set()
     for ti, c in t.placements:
-        translate = [mul(w.coords, c.coords) for w in t.tiles[ti].elements]
+        translate = [mul(w, c.coords) for w in t.tiles[ti].coords]
         if any(x not in fcoords for x in translate):
             raise AssertionError("tile translate escapes the window")
         overlap = sum(1 for x in translate if x in covered)

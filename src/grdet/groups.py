@@ -12,13 +12,17 @@ Canonical coordinates:
   * cyclic      -- residues reduced into [0, modulus)
   * free2       -- reduced word, a tuple over {1, -1, 2, -2} meaning
                    a, a^-1, b, b^-1, with no adjacent inverse pair
+
+A Folner window carries its points as int64 coordinate rows; every window
+operation runs on those rows and one KeyIndex of them, and GroupElements
+are built only when a caller asks for them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -238,13 +242,7 @@ class GroupElement:
 
 
 def identity(desc: GroupDescriptor) -> GroupElement:
-    if desc.family == FREE2:
-        return GroupElement(desc, ())
-    if desc.family == HEISENBERG:
-        return GroupElement(desc, (0, 0, 0))
-    if desc.family == CYCLIC:
-        return GroupElement(desc, (0,) * len(desc.params))
-    return GroupElement(desc, (0,) * desc.params[0])
+    return GroupElement(desc, () if desc.family == FREE2 else (0,) * _coordinate_width(desc))
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -262,11 +260,10 @@ def inverse(g: GroupElement) -> GroupElement:
 # vectorized coordinate kernel
 #
 # Compressions, power walks, boundary ratios, quasitilings and perturbed
-# compressions all translate through it.  Elements become rows of an int64
-# array.  Lattice, Heisenberg and cyclic
-# rows are the coordinates themselves; free-group words are interned to ids
-# by the CoordinateArrays object that made the rows, so rows made by
-# different objects must not be mixed.
+# compressions all translate through it, on int64 rows: lattice, Heisenberg
+# and cyclic rows are the coordinates themselves; free-group words are
+# interned to ids by the CoordinateArrays object that made the rows, so rows
+# made by different objects must not be mixed.
 
 _INT64_MAX = (1 << 63) - 1
 _KEY_LIMIT = 1 << 62
@@ -318,6 +315,12 @@ class CoordinateArrays:
         except OverflowError as exc:
             raise ScaleExceeded("coordinates do not fit in int64") from exc
 
+    def coords(self, R: np.ndarray) -> list:
+        """The coordinate tuples of int64 rows made by this object."""
+        if self.descriptor.family == FREE2:
+            return [self._words[i] for i in R[:, 0].tolist()]
+        return list(map(tuple, R.tolist()))
+
     def translate(self, S: np.ndarray, C: np.ndarray, bounds):
         """(T, T bounds) with T[t, j] = S[t] . C[j], of shape (len(S), len(C), width).
 
@@ -327,7 +330,7 @@ class CoordinateArrays:
         family = self.descriptor.family
         if family == FREE2:
             words, mul, intern = self._words, self._mul, self._intern
-            cw = [words[i] for i in C[:, 0].tolist()]
+            cw = self.coords(C)
             T = [[intern(mul(words[s], w)) for w in cw] for s in S[:, 0].tolist()]
             T = np.array(T, dtype=np.int64).reshape(len(S), len(C), 1)
             return T, ([0], [len(words) - 1])
@@ -363,17 +366,22 @@ class KeyIndex:
     A row c has key sum_d (c_d - lo_d) * stride_d inside a box [lo, hi]
     that encloses the indexed rows, last column fastest, so key order is
     lexicographic coordinate order.  Rows outside the box are never found.
+    When the rows fill their box, as those of every standard window do, the
+    sorted keys are 0, 1, ..., so find reads a row's rank off its key.
     """
 
-    __slots__ = ("rows", "bounds", "lo", "hi", "stride", "keys", "order")
+    __slots__ = ("rows", "bounds", "stride", "size", "keys", "order")
 
     def __init__(self, rows: np.ndarray):
         """Index rows (pairwise distinct) by their position in ``rows``."""
         self.rows = rows
         self._set_box(_column_bounds(rows))
         keys = self._encode(rows)
-        self.order = np.argsort(keys, kind="stable")
-        self.keys = keys[self.order]
+        if (keys[1:] > keys[:-1]).all():   # already in key order
+            self.keys, self.order = keys, None
+        else:
+            self.order = np.argsort(keys, kind="stable")
+            self.keys = keys[self.order]
 
     @classmethod
     def distinct(cls, T: np.ndarray):
@@ -403,9 +411,7 @@ class KeyIndex:
             size *= max(b - a + 1, 1)
         if size > _KEY_LIMIT:
             raise ScaleExceeded("coordinate box too large for int64 keys")
-        self.lo = np.array(lo, dtype=np.int64)
-        self.hi = np.array(hi, dtype=np.int64)
-        self.stride = np.array(stride[::-1], dtype=np.int64)
+        self.size, self.stride = size, stride[::-1]
 
     def _take_distinct(self, keys: np.ndarray) -> np.ndarray:
         """Index the distinct keys in order; return where each key went."""
@@ -420,26 +426,36 @@ class KeyIndex:
         self.order = None
         self.rows = np.empty((len(self.keys), len(self.stride)), dtype=np.int64)
         rest = self.keys
-        for d, step in enumerate(self.stride.tolist()):
+        for d, step in enumerate(self.stride):
             self.rows[:, d], rest = np.divmod(rest, step)
-        self.rows += self.lo
+        self.rows += np.array(self.bounds[0], dtype=np.int64)
         inverse = np.empty(len(order), dtype=np.int64)
         inverse[order] = np.cumsum(new) - 1
         return inverse
 
     def _encode(self, Q: np.ndarray) -> np.ndarray:
-        return (Q - self.lo) @ self.stride
+        # column by column, like _column_bounds
+        keys = np.zeros(len(Q), dtype=np.int64)
+        for d, (a, step) in enumerate(zip(self.bounds[0], self.stride)):
+            keys += (Q[:, d] - a) * step
+        return keys
 
     def find(self, Q: np.ndarray) -> np.ndarray:
         """The position of each row of Q, or -1 where it is not indexed."""
         if not len(self.keys):
             return np.full(len(Q), -1, dtype=np.int64)
-        inside = ((Q >= self.lo) & (Q <= self.hi)).all(axis=1)
+        hit = np.ones(len(Q), dtype=bool)
+        for d, (a, b) in enumerate(zip(*self.bounds)):
+            hit &= (Q[:, d] >= a) & (Q[:, d] <= b)
         keys = self._encode(Q)
-        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        hit = inside & (self.keys[at] == keys)
-        found = at if self.order is None else self.order[at]
-        return np.where(hit, found, -1)
+        if len(self.keys) == self.size:
+            at = keys   # the rows fill their box: a key is its rank
+        else:
+            at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+            hit &= self.keys[at] == keys
+        if self.order is not None:
+            at = self.order[at * hit]   # a missed row reads rank 0
+        return np.where(hit, at, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -473,45 +489,77 @@ class FolnerWindow:
 
     The element order is part of the contract: it fixes matrix indexing for
     compressions, so two windows built from equal arguments are identical.
+    A window keeps its canonical ``coords`` or its int64 ``rows`` in its own
+    CoordinateArrays ``arrays`` (F2 words as ids interned there).  The other
+    form, the GroupElements, the element -> position ``index`` and the
+    KeyIndex of the rows are built on first use.  Equality and hashing go by
+    the group and the coordinates in order.
     """
 
-    __slots__ = ("descriptor", "elements", "index", "n", "_box")
-
-    def __init__(self, descriptor: GroupDescriptor, elements, n: Optional[int] = None, _box=None):
+    def __init__(self, descriptor: GroupDescriptor, elements, n: Optional[int] = None):
         elems = tuple(elements)
-        if not elems:
+        if any(not isinstance(g, GroupElement) or g.descriptor != descriptor for g in elems):
+            raise DescriptorMismatch("window element over wrong group")
+        self._init(descriptor, n, coords=tuple(g.coords for g in elems))
+        vars(self)["elements"] = elems
+
+    def _init(self, descriptor, n, **form) -> None:
+        """Set up from one form, rows= or coords=; the rest is cached lazily."""
+        (values,) = form.values()
+        if not len(values):
             raise DomainError("window must be nonempty")
-        index = {}
-        for i, g in enumerate(elems):
-            if not isinstance(g, GroupElement) or g.descriptor != descriptor:
-                raise DescriptorMismatch("window element over wrong group")
-            if g in index:
-                raise DomainError("window elements must be distinct")
-            index[g] = i
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_box", _box)
+        if "coords" in form and len(set(values)) < len(values):
+            raise DomainError("window elements must be distinct")
+        vars(self).update(descriptor=descriptor, n=n, arrays=CoordinateArrays(descriptor), **form)
+
+    @classmethod
+    def _from(cls, descriptor, n=None, **form) -> "FolnerWindow":
+        self = cls.__new__(cls)
+        self._init(descriptor, n, **form)
+        return self
+
+    # cached_property writes the instance dict directly, past __setattr__
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """(len, width) int64 rows in window order; ScaleExceeded past int64."""
+        return self.arrays.rows(self.coords)
+
+    @cached_property
+    def coords(self) -> tuple:
+        """Canonical coordinate tuples in window order."""
+        return tuple(self.arrays.coords(self.rows))
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(GroupElement(self.descriptor, c) for c in self.coords)
+
+    @cached_property
+    def index(self) -> dict:
+        return {g: i for i, g in enumerate(self.elements)}
+
+    @cached_property
+    def key_index(self) -> "KeyIndex":
+        return KeyIndex(self.rows)
 
     def __setattr__(self, *_):
         raise AttributeError("FolnerWindow is immutable")
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.coords) if "coords" in vars(self) else len(self.rows)
 
     def __contains__(self, g):
         return g in self.index
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FolnerWindow)
             and self.descriptor == other.descriptor
-            and self.elements == other.elements
+            and len(self) == len(other)
+            and self.coords == other.coords
         )
 
     def __hash__(self):
-        return hash((self.descriptor, self.elements))
+        return hash((self.descriptor, self.coords))
 
     def __repr__(self):
         return f"FolnerWindow({descriptor_string(self.descriptor)}, size={len(self)}, n={self.n})"
@@ -519,7 +567,7 @@ class FolnerWindow:
 
 def window_from_coords(desc: GroupDescriptor, coords_list) -> FolnerWindow:
     """Build a window from raw coordinates, preserving the given order."""
-    return FolnerWindow(desc, (GroupElement(desc, c) for c in coords_list))
+    return FolnerWindow._from(desc, coords=tuple(_canonical_coords(desc, c) for c in coords_list))
 
 
 def folner_window(desc: GroupDescriptor, n: int) -> FolnerWindow:
@@ -527,30 +575,20 @@ def folner_window(desc: GroupDescriptor, n: int) -> FolnerWindow:
 
     Lattice: box [-n, n]^d.  Heisenberg: |x| <= n, |y| <= n, |z| <= n^2
     (the z-range follows the group's growth so boundary ratios vanish).
-    Finite groups: the whole group, independent of n.
+    Finite groups: the whole group, independent of n.  The window is built
+    as the rows of its box; no GroupElement is made until one is asked for.
     """
     if not desc.is_amenable:
         raise UnsupportedFamily("free group admits no Folner windows")
     if n < 1:
         raise DomainError("window stage must be >= 1")
     if desc.family == LATTICE:
-        d = desc.params[0]
-        rng = range(-n, n + 1)
-        coords = itertools.product(*([rng] * d))
-        box = (LATTICE, d, n)
+        lo, hi = [-n] * desc.params[0], [n] * desc.params[0]
     elif desc.family == HEISENBERG:
-        coords = (
-            (x, y, z)
-            for x in range(-n, n + 1)
-            for y in range(-n, n + 1)
-            for z in range(-n * n, n * n + 1)
-        )
-        box = (HEISENBERG, n)
+        lo, hi = [-n, -n, -n * n], [n, n, n * n]
     else:
-        coords = itertools.product(*(range(m) for m in desc.params))
-        box = None
-    elems = tuple(GroupElement(desc, c) for c in coords)
-    return FolnerWindow(desc, elems, n=n, _box=box)
+        lo, hi = [0] * len(desc.params), [m - 1 for m in desc.params]
+    return FolnerWindow._from(desc, n, rows=_box_coords_array(lo, hi))
 
 
 # Up to this many translates a dict lookup beats the array path: the array
@@ -566,105 +604,54 @@ def window_translates(F: FolnerWindow, S) -> np.ndarray:
     """
     if len(S) * len(F) <= _SMALL_TRANSLATES:
         mul = coordinate_multiplier(F.descriptor)
-        index = {g.coords: i for i, g in enumerate(F.elements)}
-        pos = [[index.get(mul(s, g.coords), -1) for g in F.elements] for s in S]
+        index = {c: i for i, c in enumerate(F.coords)}
+        pos = [[index.get(mul(s, c), -1) for c in F.coords] for s in S]
         return np.array(pos, dtype=np.int64).reshape(len(S), len(F))
-    arrays = CoordinateArrays(F.descriptor)
-    index = KeyIndex(arrays.rows(g.coords for g in F.elements))
+    arrays, index = F.arrays, F.key_index
     T, _ = arrays.translate(arrays.rows(S), index.rows, index.bounds)
     return index.find(T.reshape(-1, arrays.width)).reshape(len(T), len(F))
 
 
-def _box_contains(box, arr: np.ndarray) -> np.ndarray:
-    if box[0] == LATTICE:
-        n = box[2]
-        return (np.abs(arr) <= n).all(axis=1)
-    n = box[1]
-    return (
-        (np.abs(arr[:, 0]) <= n)
-        & (np.abs(arr[:, 1]) <= n)
-        & (np.abs(arr[:, 2]) <= n * n)
-    )
-
-
-def _box_coords_array(box) -> np.ndarray:
-    if box[0] == LATTICE:
-        _, d, n = box
-        axes = [np.arange(-n, n + 1)] * d
-    else:
-        n = box[1]
-        axes = [np.arange(-n, n + 1), np.arange(-n, n + 1), np.arange(-n * n, n * n + 1)]
+def _box_coords_array(lo, hi) -> np.ndarray:
+    """The rows of the box [lo, hi] in lexicographic order."""
+    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _boundary_count(desc: GroupDescriptor, K_coords, box=None, F_coords=()) -> int:
-    """|KF symm-diff F| for F the standard box ``box``, or else the window
-    with coordinates F_coords, computed with numpy.
+def boundary_ratio(window: FolnerWindow, K) -> Fraction:
+    """Exact |K.F symm-diff F| / |F| for a finite nonempty K.
 
-    A box needs the identity in K: F then lies inside KF and membership is
-    arithmetic.  Otherwise a KeyIndex of F's rows finds members, and the
+    The window's KeyIndex finds the members among the translates, one
+    element of K at a time (Heisenberg boxes reach millions of rows); the
     window positions no translate hits count as F \\ KF.
     """
-    arrays = CoordinateArrays(desc)
-    if box is None:
-        F_rows = arrays.rows(F_coords)
-        index, missed = KeyIndex(F_rows), np.ones(len(F_rows), dtype=bool)
-    else:
-        F_rows, index, missed = _box_coords_array(box), None, np.zeros(0, dtype=bool)
-    bounds = _column_bounds(F_rows)
-    pieces = []
-    # one translate at a time: Heisenberg boxes reach millions of rows
-    for k in arrays.rows(K_coords):
-        shifted = arrays.translate(k[None, :], F_rows, bounds)[0][0]
-        if index is None:
-            inside = _box_contains(box, shifted)
-        else:
-            at = index.find(shifted)
-            inside = at >= 0
-            missed[at[inside]] = False
-        outside = shifted[~inside]
+    K = list(K)
+    if not K:
+        raise DomainError("K must be nonempty")
+    if any(k.descriptor != window.descriptor for k in K):
+        raise DescriptorMismatch("K element over wrong group")
+    arrays, index = window.arrays, window.key_index
+    # hit[i] for the window positions, and a last slot that -1 lands in
+    hit, pieces = np.zeros(len(window) + 1, dtype=bool), []
+    for k in arrays.rows(k.coords for k in K):
+        shifted = arrays.translate(k[None, :], index.rows, index.bounds)[0][0]
+        at = index.find(shifted)
+        hit[at] = True
+        outside = np.compress(at < 0, shifted, axis=0)
         if len(outside):
             pieces.append(outside)
     count = len(KeyIndex.distinct(np.vstack(pieces))[0].rows) if pieces else 0
-    return count + int(np.count_nonzero(missed))
-
-
-def boundary_ratio(window: FolnerWindow, K) -> Fraction:
-    """Exact |K.F symm-diff F| / |F| for a finite nonempty K."""
-    K = list(K)
-    if not K:
-        raise DomainError("K must be nonempty")
-    for k in K:
-        if k.descriptor != window.descriptor:
-            raise DescriptorMismatch("K element over wrong group")
-    K = [k.coords for k in K]
-    box = window._box if identity(window.descriptor).coords in K else None
-    count = _boundary_count(window.descriptor, K, box, (g.coords for g in window.elements))
-    return Fraction(count, len(window))
+    return Fraction(count + len(window) - int(np.count_nonzero(hit[:-1])), len(window))
 
 
 def box_boundary_ratio(desc: GroupDescriptor, n: int, K) -> Fraction:
-    """boundary_ratio(folner_window(desc, n), K) without materializing the window.
+    """boundary_ratio(folner_window(desc, n), K), for K holding the identity.
 
-    Only for lattice / Heisenberg standard windows with the identity in K;
-    agrees with boundary_ratio wherever both run (tested).  Exists because
-    Heisenberg windows grow like n^4 and the object form becomes the cost.
+    A standard window's rows fill their box, so its membership test is key
+    arithmetic; this name stays for callers of the former box-only path.
     """
-    if desc.family == CYCLIC:
-        return Fraction(0)
-    if desc.family == LATTICE:
-        box = (LATTICE, desc.params[0], n)
-        size = (2 * n + 1) ** desc.params[0]
-    elif desc.family == HEISENBERG:
-        box = (HEISENBERG, n)
-        size = (2 * n + 1) ** 2 * (2 * n * n + 1)
-    else:
-        raise UnsupportedFamily("free group admits no Folner windows")
-    K = list(K)
-    if not K:
-        raise DomainError("K must be nonempty")
-    if not any(k.coords == identity(desc).coords for k in K):
+    window, K = folner_window(desc, n), list(K)
+    if K and identity(desc) not in K:
         raise DomainError("box_boundary_ratio requires the identity in K")
-    out = _boundary_count(desc, [k.coords for k in K], box)
-    return Fraction(out, size)
+    return boundary_ratio(window, K)

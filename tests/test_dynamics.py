@@ -219,6 +219,52 @@ def test_extremal_counts_on_non_materialized_dual():
                     == separated_count_with_greedy(full, full.window, p, eps))
 
 
+def test_dual_vectors_built_on_request(monkeypatch):
+    built = []
+    post_init = G.TorusVector.__post_init__
+    monkeypatch.setattr(G.TorusVector, "__post_init__", lambda self: (built.append(self), post_init(self)))
+    f = cyc_elem(C5, {0: 2, 1: 1})
+    dual = G.solve_dual_finite(f, C5)
+    G.extremal_count(dual, dual.window, 2, Fraction(1, 5), "separated")
+    dual.to_csv()
+    assert built == []
+    vectors = dual.vectors()
+    assert len(built) == 33 and dual.vectors() is vectors is dual.solutions
+    D = dual.denominator
+    assert [h.values for h in vectors] == [tuple(Fraction(int(v), D) for v in row)
+                                           for row in dual.numerators]
+    capped = G.solve_dual_finite(f, C5, materialize_limit=32)
+    assert capped.solutions is None
+    with pytest.raises(ScaleExceeded):
+        capped.vectors()
+
+
+def test_orbit_counts_reject_elements_outside_the_window():
+    dual = G.solve_dual_finite(cyc_elem(C5, {0: 2, 1: 1}), C5)
+    x, y = dual.vectors()[:2]
+    foreign = [G.GroupElement(C3, (1,))]
+    for call in (lambda F: G.orbit_distance(x, y, F, 1),
+                 lambda F: G.extremal_count(dual, F, 1, Fraction(1, 5), "separated"),
+                 lambda F: G.extremal_count([x, y], F, 2, Fraction(1, 5), "spanning"),
+                 lambda F: separated_count_with_greedy(dual, F, math.inf, Fraction(1, 5))):
+        with pytest.raises(G.DescriptorMismatch):
+            call(foreign)
+        with pytest.raises(G.DescriptorMismatch):
+            call(G.folner_window(C3, 1))
+    # points over part of the group: F reaches past their window
+    part = G.window_from_coords(Z1, [(0,), (1,), (2,)])
+    u = G.TorusVector(part, (Fraction(0), Fraction(1, 2), Fraction(1, 4)))
+    v = G.TorusVector(part, (Fraction(1, 3), Fraction(0), Fraction(0)))
+    outside = [G.GroupElement(Z1, (1,)), G.GroupElement(Z1, (3,))]
+    with pytest.raises(DomainError, match="outside"):
+        G.orbit_distance(u, v, outside, 1)
+    with pytest.raises(DomainError, match="outside"):
+        G.extremal_count([u, v], outside, math.inf, Fraction(1, 5), "separated")
+    with pytest.raises(DomainError, match="outside"):
+        separated_count_with_greedy([u, v], outside, math.inf, Fraction(1, 5))
+    assert G.orbit_distance(u, v, outside[:1], math.inf) == 0.5
+
+
 # ---------------------------------------------------------------------- relation oracle
 #
 # The per-pair Fraction loop below is the relation the integer kernel
@@ -583,6 +629,11 @@ def test_quasitile_determinism_and_validation():
         G.quasitile(F, tiles, 0.7)
     with pytest.raises(DomainError):
         G.quasitile(F, [], 0.1)
+
+
+def test_quasitile_rejects_tiles_over_another_group():
+    with pytest.raises(G.DescriptorMismatch):
+        G.quasitile(interval_window(0, 10), [G.folner_window(C5, 1)], 0.1)
 
 
 def test_quasitile_coverage_shortfall_is_reported():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import grdet as G
@@ -87,6 +88,95 @@ def test_window_determinism():
     b = G.folner_window(H3, 2)
     assert a.elements == b.elements
     assert a.index == b.index
+
+
+C23 = G.cyclic_product([2, 3])
+
+
+@pytest.mark.parametrize("desc,coords", [
+    (Z2, [(i, j) for i in range(-1, 2) for j in range(-1, 2)]),
+    (H3, [(x, y, z) for x in range(-1, 2) for y in range(-1, 2) for z in range(-1, 2)]),
+    (C23, [(i, j) for i in range(2) for j in range(3)]),
+], ids=["Z^2", "H3", "C2xC3"])
+def test_windows_equal_by_content(desc, coords):
+    built = [G.folner_window(desc, 1), G.window_from_coords(desc, coords),
+             G.FolnerWindow(desc, [G.GroupElement(desc, c) for c in coords])]
+    if desc.family == "cyclic":
+        # residues that are not reduced canonicalize to the same window
+        shifted = [(i + 2, j - 3) for i, j in coords]
+        built += [G.window_from_coords(desc, shifted),
+                  G.FolnerWindow(desc, [G.GroupElement(desc, c) for c in shifted])]
+    for a in built:
+        for b in built:
+            assert a == b and hash(a) == hash(b)
+        assert a.coords == tuple(coords)
+    reordered = G.window_from_coords(desc, coords[1:] + coords[:1])
+    for a in built:
+        assert a != reordered and a != G.window_from_coords(desc, coords[:-1])
+    # same size, one point swapped for another
+    part = G.FolnerWindow(desc, [G.GroupElement(desc, c) for c in coords[:-1]])
+    assert part != G.window_from_coords(desc, coords[:-2] + coords[-1:])
+    assert part == G.window_from_coords(desc, coords[:-1])
+
+
+def test_free_windows_equal_by_content():
+    words = [(), (2,), (2, -1), (-2, -2, 1)]
+    unreduced = [(1, -1), (2, 1, -1), (2, -1), (-2, -2, 1, 2, -2)]
+    built = [G.window_from_coords(F2, words), G.window_from_coords(F2, unreduced),
+             G.FolnerWindow(F2, [G.GroupElement(F2, w) for w in unreduced])]
+    # the same words interned in another order get other ids, not another window
+    built[1].arrays.rows([(1, 1), (2, -1)])
+    assert not np.array_equal(built[0].rows, built[1].rows)
+    for a in built:
+        for b in built:
+            assert a == b and hash(a) == hash(b)
+        assert a.coords == tuple(words)
+    assert built[0] != G.window_from_coords(F2, words[::-1])
+    assert built[0] != G.window_from_coords(F2, words[:-1] + [(1, 1)])
+    with pytest.raises(DomainError, match="distinct"):
+        G.window_from_coords(F2, [(1,), (1, 2, -2)])
+
+
+def test_window_validation():
+    with pytest.raises(DomainError, match="nonempty"):
+        G.window_from_coords(Z1, [])
+    with pytest.raises(DomainError, match="nonempty"):
+        G.FolnerWindow(Z1, [])
+    with pytest.raises(DomainError, match="distinct"):
+        G.window_from_coords(C5, [(1,), (6,)])
+    with pytest.raises(DomainError, match="rank"):
+        G.window_from_coords(Z2, [(1,)])
+    with pytest.raises(G.DescriptorMismatch):
+        G.FolnerWindow(Z1, [G.GroupElement(C5, (1,))])
+
+
+def test_wide_window_constructs_and_builds_elements_on_request():
+    # a window whose key box exceeds int64 still constructs; only the
+    # array paths that need its keys refuse it
+    far = G.window_from_coords(Z2, [(0, 0), (2 ** 31, 2 ** 31)])
+    assert len(far) == 2 and G.GroupElement(Z2, (2 ** 31, 2 ** 31)) in far
+    w = G.folner_window(H3, 2)
+    assert "elements" not in vars(w)
+    assert w.elements[0] == G.GroupElement(H3, (-2, -2, -4)) and w.index[w.elements[-1]] == len(w) - 1
+
+
+def test_sections_build_no_element_per_window_point(monkeypatch):
+    built = []
+    init = G.GroupElement.__init__
+
+    def counting(self, descriptor, coords):
+        built.append(coords)
+        init(self, descriptor, coords)
+
+    f = G.ring_element(H3, {(0, 0, 0): 5, (1, 0, 0): 1, (-1, 0, 0): 1, (0, 1, 0): 1, (0, -1, 0): 1})
+    monkeypatch.setattr(G.GroupElement, "__init__", counting)
+    counts = {}
+    for n in (2, 5):
+        built.clear()
+        table = G.fk_finite_sections(f, [G.folner_window(H3, n)], assume_invertible=True)
+        assert table.rows[0].window_size == (2 * n + 1) ** 2 * (2 * n * n + 1)
+        counts[n] = len(built)
+    assert counts[5] == counts[2] < 100
 
 
 def test_boundary_ratio_examples():

@@ -219,6 +219,10 @@ def test_box_boundary_ratio_matches_set_oracle(desc, with_identity):
         K = random_K(rng, desc, with_identity)
         expected = oracle_boundary_ratio(F, K)
         assert G.boundary_ratio(F, K) == expected
+        # the same box in another order: its rows still fill their key box
+        shuffle = random.Random(f"shuffle-{desc}-{n}")
+        shuffled = G.window_from_coords(desc, shuffle.sample(F.coords, len(F)))
+        assert G.boundary_ratio(shuffled, K) == expected
         if with_identity:
             assert G.box_boundary_ratio(desc, n, K) == expected
 
