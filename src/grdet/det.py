@@ -16,8 +16,9 @@ Four routes to log-determinant data live here:
                         group-ring element: normalized log-determinants of
                         window compressions, and exactly traced Chebyshev
                         approximants of log on a spectral enclosure, whose
-                        moments come from a vectorized power walk on int64
-                        coordinate arrays with residues modulo primes;
+                        traces come from one paired walk to half the degree
+                        on int64 coordinate arrays, exact (powers, residues
+                        modulo primes) or complex128 (Chebyshev recurrence);
   * build_perturbed_compression / perturbation_study
                      -- low-rank rational perturbations of compressions
                         with norm-controlled transfer blocks, which keep
@@ -359,12 +360,14 @@ def _section_rows(f: RingElement, schedule, method: str, window_matrix) -> tuple
 # ---------------------------------------------------------------------------
 # polynomial traces
 
-# Both trace routes walk the powers of a fixed element s on coordinate
-# arrays (groups.CoordinateArrays).  The support of s^k is a groups.KeyIndex;
-# one step (KeyIndex.translates) finds the support of s^(k+1) and, for each
-# term of s, the rows its translates land on.  Coefficients ride along as
-# int64 residues modulo primes below 2^31 (exact route, rebuilt by CRT) or
-# as complex128 (float route), added term by term in the order of s's terms.
+# Both trace routes run one paired walk (_pair_walk) on coordinate arrays.
+# Each support is a groups.KeyIndex; one step (KeyIndex.translates) finds the
+# next support and where each translate lands.  Coefficients ride along as
+# int64 residues modulo primes below 2^31 (exact route, rebuilt by CRT) or as
+# complex128 (float route).  Only a_j = <Q_j, Q_j> and b_j = <Q_j, Q_j+1> are
+# kept, with <X, Y> = sum X(g) conj(Y(g)) = tr(X Y) for self-adjoint Y.  Half
+# the depth gives every trace: tr s^2j = a_j and tr s^2j+1 = b_j for s = s*,
+# and T_2j = 2 T_j^2 - 1, T_2j+1 = 2 T_j T_j+1 - T_1 give 2 a_j - 1, 2 b_j - b_0.
 
 def _crt_symmetric(residues, primes) -> int:
     """The integer of least magnitude with the given residues."""
@@ -377,13 +380,60 @@ def _crt_symmetric(residues, primes) -> int:
     return x - modulus if 2 * x > modulus else x
 
 
+def _pair_walk(desc, coords, C, depth: int, odd: bool, P=None, chebyshev: bool = False):
+    """Pair sums of Q_0 = e, Q_1 = s, Q_j+1 = s Q_j (or 2 s Q_j - Q_j-1 if
+    chebyshev, which needs odd): rows a_j = <Q_j, Q_j> for j <= depth, and if
+    odd b_j = <Q_j, Q_j+1> between them (a_0, b_0, a_1, ..., a_depth).
+
+    s has the rows ``coords`` and coefficients C of shape (planes, len(coords)):
+    int64 residues modulo the column of primes P, or one complex128 plane if
+    P is None.  Pairing needs e among the rows (its coefficient may be 0): the
+    translates by e place Q_j's rows in Q_j+1's support.
+    """
+    arrays = groups.CoordinateArrays(desc)
+    e = arrays.rows([groups.identity(desc).coords])
+    S = arrays.rows(coords)
+    if odd:
+        (at_e,) = np.flatnonzero((S == e).all(axis=1))
+
+    reduce = (lambda X: X) if P is None else (lambda X: X % P)
+
+    def dot(X, Y):   # residues below 2^31: products and plane sums fit int64
+        return reduce(reduce(X * Y.conj()).sum(axis=1, keepdims=True))[:, 0]
+
+    support, V = groups.KeyIndex(e), np.ones((len(C), 1), dtype=C.dtype)
+    sums = [dot(V, V)]
+    for j in range(1, depth + 1):
+        nxt, pos = groups.KeyIndex.translates(arrays, S, support)
+        at, size = pos.reshape(-1), len(nxt.rows)
+        W = np.empty((len(C), size), dtype=C.dtype)
+        for i, c in enumerate(C):
+            w = (c[:, None] * V[i][None, :]).reshape(-1)
+            if P is None:
+                W[i] = np.bincount(at, w.real, size) + 1j * np.bincount(at, w.imag, size)
+            else:   # at most len(S) terms below 2^31 per row: exact in float64
+                W[i] = np.bincount(at, w % P[i, 0], size)
+        if odd:
+            emb = pos[at_e].copy()   # Q_j-1's rows in Q_j's support
+            if chebyshev and j > 1:
+                W *= 2
+                W[:, emb[back]] -= U
+            back, U = emb, V
+        del w, at, pos   # let the next translates reuse their memory
+        W = reduce(W)
+        if odd:
+            sums.append(dot(V, W[:, emb]))
+        V, support = W, nxt
+        sums.append(dot(V, V))
+    return np.array(sums)
+
+
 def _integer_trace_moments(f: RingElement, count: int):
     """(D, [M_0, ..., M_count]) with tr((f* f)^j) = M_j / D^(2j), D f integral.
 
-    Self-adjoint f: M_j = sum_g (F^j)_g^2 for F = D f, so one walk over
-    powers of F suffices.  Otherwise walk powers of G = F* F and pair
-    consecutive ones: M_2k = sum (G^k)_g^2 and M_2k+1 = sum (G^k)_g
-    (G^(k+1))_g, where keys of G^k missing from G^(k+1) contribute 0.
+    Self-adjoint f: M_j = sum_g (F^j)_g^2 = a_j for the powers of F = D f.
+    Otherwise walk powers of G = F* F to half the depth: M_2k = a_k =
+    sum (G^k)_g^2 and M_2k+1 = b_k = sum (G^k)_g (G^(k+1))_g.
     Every |M_j| <= |F|_1^(2j), which fixes the number of primes.
     """
     if f.domain not in (ring.INT, ring.RATIONAL):
@@ -396,44 +446,11 @@ def _integer_trace_moments(f: RingElement, count: int):
     bound = max(1, sum(abs(v) for v in F.terms.values())) ** (2 * count)
     # every prime exceeds 2^30, so their product exceeds 4 * bound
     primes = _crt_primes(-(-(bound.bit_length() + 2) // 30))
-    P = np.array(primes, dtype=np.int64)[:, None]
-    coeffs = np.array([[v % p for _, v in terms] for p in primes], dtype=np.int64)
-    arrays = groups.CoordinateArrays(f.descriptor)
-    S = arrays.rows(g.coords for g, _ in terms)
-
-    def step(support, V):
-        nxt, pos = groups.KeyIndex.translates(arrays, S, support)
-        at, size = pos.reshape(-1), len(nxt.rows)
-        acc = np.empty((len(primes), size), dtype=np.int64)
-        for i, p in enumerate(primes):
-            # each sum has at most len(S) terms below 2^31, exact in float64
-            w = coeffs[i][:, None] * V[i][None, :] % p
-            acc[i] = np.bincount(at, weights=w.reshape(-1).astype(np.float64), minlength=size)
-        return nxt, acc % P
-
-    def dot(A, B):
-        return ((A * B % P).sum(axis=1) % P[:, 0]).tolist()
-
-    support = groups.KeyIndex(arrays.rows([groups.identity(f.descriptor).coords]))
-    V = np.ones((len(primes), 1), dtype=np.int64)
-    residues = [None] * (count + 1)
-    if self_adjoint:
-        for j in range(count + 1):
-            if j:
-                support, V = step(support, V)
-            residues[j] = dot(V, V)
-    else:
-        for k in range((count + 1) // 2 + 1):
-            if k:
-                prev, W = support, V
-                support, V = step(support, V)
-                if 2 * k - 1 <= count:
-                    at = support.find(prev.rows)
-                    hit = at >= 0
-                    residues[2 * k - 1] = dot(W[:, hit], V[:, at[hit]])
-            if 2 * k <= count:
-                residues[2 * k] = dot(V, V)
-    return D, [_crt_symmetric(r, primes) for r in residues]
+    C = np.array([[v % p for _, v in terms] for p in primes], dtype=np.int64)
+    depth = count if self_adjoint else -(-count // 2)
+    sums = _pair_walk(f.descriptor, [g.coords for g, _ in terms], C, depth,
+                      not self_adjoint, np.array(primes, dtype=np.int64)[:, None])
+    return D, [_crt_symmetric(r, primes) for r in sums[: count + 1].tolist()]
 
 
 def _trace_moments(f: RingElement, count: int) -> list:
@@ -480,43 +497,24 @@ def _chebyshev_traces_exact(f: RingElement, a: Fraction, b: Fraction, degree: in
 def _chebyshev_traces_float(f: RingElement, a: float, b: float, degree: int) -> list:
     """tr T~_k(f* f) for k <= degree, complex-float domain.
 
-    Uses the three-term recurrence P_{k+1} = 2 s P_k - P_{k-1} with
-    s = (2 f*f - (a+b) e) / (b-a) directly on group-ring coefficients; the
-    recurrence is the numerically stable way to evaluate Chebyshev
-    polynomials, and all coefficients stay bounded when [a, b] encloses the
-    spectrum.
+    Pairs the three-term recurrence T_j+1 = 2 s T_j - T_j-1 with
+    s = (2 f*f - (a+b) e) / (b-a) on group-ring coefficients, to half the
+    degree; the recurrence is the numerically stable way to evaluate
+    Chebyshev polynomials, and all coefficients stay bounded when [a, b]
+    encloses the spectrum.
     """
     desc = f.descriptor
     g = ring.convolve(ring.adjoint(f), f)
     ident = groups.identity(desc).coords
     s = {h.coords: 2.0 * complex(v) / (b - a) for h, v in g.sorted_terms()}
     s[ident] = s.get(ident, 0.0) - (a + b) / (b - a)
-    s_terms = sorted(s.items())
-    arrays = groups.CoordinateArrays(desc)
-    S = arrays.rows(c for c, _ in s_terms)
-    coeffs = [complex(v) for _, v in s_terms]
-    e = arrays.rows([ident])
-
-    def trace(support, V):
-        (at,) = support.find(e)
-        return V[at].real if at >= 0 else 0.0
-
-    prev, P = groups.KeyIndex(e), np.ones(1, dtype=np.complex128)
-    traces = [1.0]
-    if degree >= 1:
-        cur, C = groups.KeyIndex(S), np.array(coeffs, dtype=np.complex128)
-        traces.append(trace(cur, C))
-        for _ in range(2, degree + 1):
-            nxt, pos = groups.KeyIndex.translates(arrays, S, cur)
-            acc = np.zeros(len(nxt.rows), dtype=np.complex128)
-            for t, c in enumerate(coeffs):
-                acc[pos[t]] += c * C
-            acc *= 2.0
-            # s holds the identity, so the support of P_k-1 lies in P_k+1's
-            acc[nxt.find(prev.rows)] -= P
-            prev, P, cur, C = cur, C, nxt, acc
-            traces.append(trace(cur, C))
-    return [float(t) for t in traces]
+    coords, values = zip(*sorted(s.items()))
+    C = np.array([values], dtype=np.complex128)
+    sums = _pair_walk(desc, coords, C, -(-degree // 2), True, chebyshev=True)
+    traces = 2.0 * sums[: degree + 1, 0].real
+    traces[0::2] -= 1.0                  # tr T_2j = 2 a_j - 1
+    traces[1::2] -= sums[1:2, 0].real    # tr T_2j+1 = 2 b_j - b_0
+    return traces.tolist()
 
 
 def fk_poly_trace(f: RingElement, interval, degree: int):
@@ -525,16 +523,16 @@ def fk_poly_trace(f: RingElement, interval, degree: int):
     Builds the degree-m Chebyshev interpolant Q of log on [a, b] (which must
     enclose the spectrum of f* f), evaluates tr Q(f* f) from the traces of
     the scaled Chebyshev polynomials (exact for int and rational f, each
-    rounded once to float; a complex128 recurrence for complex f), and returns
-    (value, bound) with bound = sup |Q - log| / 2 on [a, b], measured on a
-    dense grid with a 5% safety factor.
+    rounded once to float; a paired complex128 recurrence for complex f), and
+    returns (value, bound) with bound = sup |Q - log| / 2 on [a, b], measured
+    on a dense grid with a 5% safety factor.
     """
     a, b = interval
     if not (a > 0):
         raise DomainError("interval must satisfy 0 < a <= b")
     if not (a <= b):
         raise DomainError("interval must satisfy 0 < a <= b")
-    if not isinstance(degree, int) or degree < 1:
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
         raise DomainError("degree must be a positive integer")
     if a == b:
         return 0.5 * math.log(a), 0.0
@@ -543,7 +541,7 @@ def fk_poly_trace(f: RingElement, interval, degree: int):
 
     if f.domain == ring.COMPLEX:
         # float coefficients: the monomial-moment route cancels catastrophically,
-        # the direct Chebyshev recurrence is stable
+        # the paired Chebyshev recurrence is stable
         t_vals = _chebyshev_traces_float(f, float(a), float(b), degree)
     else:
         t_vals = _chebyshev_traces_exact(f, Fraction(a), Fraction(b), degree)

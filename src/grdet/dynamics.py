@@ -82,13 +82,14 @@ def circle_distance(s, t):
     return min(d, 1 - d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualSolutionSet:
     """All solutions of f.h = 0 on the dual of a finite group.
 
     numerators[i] / denominator are the coordinates of solution i; the
     TorusVector list is built on first use, and only up to materialize_limit
     (the count can exceed any enumeration budget while staying exact).
+    Sets compare and hash by identity, as numerators is an array.
     """
 
     window: FolnerWindow

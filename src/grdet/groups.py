@@ -189,10 +189,10 @@ def _inverse_coords(desc: GroupDescriptor, c):
 
 def _canonical_coords(desc: GroupDescriptor, c):
     if desc.family == CYCLIC:
-        c = tuple(int(x) % m for x, m in zip(c, desc.params))
+        c = tuple(c)
         if len(c) != len(desc.params):
             raise DomainError("coordinate length does not match moduli")
-        return c
+        return tuple(int(x) % m for x, m in zip(c, desc.params))
     if desc.family == LATTICE:
         c = tuple(int(x) for x in c)
         if len(c) != desc.params[0]:

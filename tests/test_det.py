@@ -223,6 +223,12 @@ def test_poly_trace_rejects_bad_interval():
         G.fk_poly_trace(F3, (9, 4), 10)
 
 
+@pytest.mark.parametrize("degree", [0, -1, True, 2.5])
+def test_poly_trace_rejects_bad_degree(degree):
+    with pytest.raises(DomainError):
+        G.fk_poly_trace(F3, (1, 16), degree)
+
+
 def test_poly_trace_non_self_adjoint_path():
     f = zpoly({0: 4, 1: 1})  # f* f = 17e + 4u + 4u^-1, spectrum in [9, 25]
     val, bound = G.fk_poly_trace(f, (9, 25), 30)

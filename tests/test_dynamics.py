@@ -239,6 +239,14 @@ def test_dual_vectors_built_on_request(monkeypatch):
         capped.vectors()
 
 
+def test_dual_solution_sets_compare_by_identity():
+    # numerators is an array, so sets compare and hash as objects
+    f = cyc_elem(C5, {0: 2, 1: 1})
+    dual, again = G.solve_dual_finite(f, C5), G.solve_dual_finite(f, C5)
+    assert dual == dual and dual != again
+    assert len({dual, again, dual}) == 2
+
+
 def test_orbit_counts_reject_elements_outside_the_window():
     dual = G.solve_dual_finite(cyc_elem(C5, {0: 2, 1: 1}), C5)
     x, y = dual.vectors()[:2]

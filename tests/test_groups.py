@@ -150,6 +150,15 @@ def test_window_validation():
         G.FolnerWindow(Z1, [G.GroupElement(C5, (1,))])
 
 
+def test_cyclic_coordinates_of_the_wrong_length_are_refused():
+    C23 = G.cyclic_product([2, 3])
+    for desc, c in ((C5, (1, 2, 3)), (C5, ()), (C23, (1,)), (C23, (1, 2, 0))):
+        with pytest.raises(DomainError, match="moduli"):
+            G.GroupElement(desc, c)
+        with pytest.raises(DomainError, match="moduli"):
+            G.window_from_coords(desc, [c])
+
+
 def test_wide_window_constructs_and_builds_elements_on_request():
     # a window whose key box exceeds int64 still constructs; only the
     # array paths that need its keys refuse it

@@ -144,6 +144,8 @@ EXACT = [
     ("f2-cyclic", el(F2, {(): 4, (1, 2): 1}), 20),
     ("f2-free", el(F2, {(): 5, (1,): 1, (-1,): 1, (2,): 1, (-2,): 1}), 6),
     ("f2-nsa", el(F2, {(): 6, (1, 2): 1, (-2,): -2}), 8),
+    # no identity term: the supports of its powers are not nested
+    ("z1-sa-no-e", el(Z1, {(1,): 1, (-1,): 1, (2,): 2, (-2,): 2}), 20),
 ]
 
 
@@ -197,10 +199,11 @@ COMPLEX = [
 @pytest.mark.parametrize("f", COMPLEX, ids=["z1", "h3", "f2"])
 def test_complex_traces_match_dict_recurrence(f):
     b = float(G.l1_norm(f)) ** 2 * 1.05
-    degree = {Z1: 30, H3: 8, F2: 6}[f.descriptor]
-    got = det._chebyshev_traces_float(f, 1.0, b, degree)
-    want = oracle_chebyshev_float(f, 1.0, b, degree)
-    assert got == pytest.approx(want, abs=1e-12, rel=1e-12)
+    # an odd degree reads the pair sum b_j at the walk's last level
+    for degree in {Z1: (30, 31), H3: (8, 9), F2: (6, 7)}[f.descriptor]:
+        got = det._chebyshev_traces_float(f, 1.0, b, degree)
+        want = oracle_chebyshev_float(f, 1.0, b, degree)
+        assert got == pytest.approx(want, abs=1e-12, rel=1e-12)
 
 
 # ---------------------------------------------------------------------- compressions
