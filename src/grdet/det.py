@@ -26,6 +26,11 @@ Four routes to log-determinant data live here:
                         placements come from groups.window_translates.
 
 fk_finite_sections and perturbation_study share one table loop, _section_rows.
+Both perturbation routes replace columns of f_F through one helper,
+_replace_columns, and find the points g with K g inside a window through one
+mask, _interior: unit columns for perturbation_study, transfer vectors at
+tile complements and unit columns at uncovered points (exact rationals) for
+build_perturbed_compression.
 """
 
 from __future__ import annotations
@@ -525,7 +530,9 @@ def fk_poly_trace(f: RingElement, interval, degree: int):
     the scaled Chebyshev polynomials (exact for int and rational f, each
     rounded once to float; a paired complex128 recurrence for complex f), and
     returns (value, bound) with bound = sup |Q - log| / 2 on [a, b], measured
-    on a dense grid with a 5% safety factor.
+    on a dense grid with a 5% safety factor.  A trace above 1 + 1e-9 in
+    magnitude shows that [a, b] misses the spectrum (every |tr T~_k| <= 1
+    when it encloses it); then a warning is issued and the bound is inf.
     """
     a, b = interval
     if not (a > 0):
@@ -545,13 +552,14 @@ def fk_poly_trace(f: RingElement, interval, degree: int):
         t_vals = _chebyshev_traces_float(f, float(a), float(b), degree)
     else:
         t_vals = _chebyshev_traces_exact(f, Fraction(a), Fraction(b), degree)
+    series = Chebyshev.interpolate(np.log, degree, domain=[float(a), float(b)])
+    value = 0.5 * math.fsum(float(ck) * tk for ck, tk in zip(series.coef, t_vals))
     if max(abs(t) for t in t_vals) > 1.0 + 1e-9:
         warnings.warn(
             "Chebyshev traces exceed 1 in magnitude; the interval probably "
             "does not enclose the spectrum of f*f and the result is unreliable"
         )
-    series = Chebyshev.interpolate(np.log, degree, domain=[float(a), float(b)])
-    value = 0.5 * math.fsum(float(ck) * tk for ck, tk in zip(series.coef, t_vals))
+        return value, math.inf
     grid = np.linspace(float(a), float(b), max(200 * degree, 2000) + 1)
     sup = float(np.max(np.abs(series(grid) - np.log(grid))))
     bound = 0.5 * sup * 1.05 + 1e-13
@@ -645,7 +653,6 @@ def _near_orthonormal_rational_basis(null_basis: list):
     from the least-squares coordinates of a numerical orthonormal basis.
     """
     n = len(null_basis[0])
-    r = len(null_basis)
     # rescale exact basis columns by powers of two for numerical sanity
     scaled = []
     for v in null_basis:
@@ -654,15 +661,15 @@ def _near_orthonormal_rational_basis(null_basis: list):
         scaled.append([x / (1 << shift) if shift >= 0 else x * (1 << -shift) for x in v])
     B = np.array([[float(x) for x in v] for v in scaled]).T  # n x r
     Q, _ = np.linalg.qr(B)
+    # only the rounding of these coordinates depends on the denominator
+    coords = [np.linalg.lstsq(B, q, rcond=None)[0].tolist() for q in Q.T]
     for log2_den in (20, 34, 48):
         vectors = []
-        for i in range(r):
-            coords, *_ = np.linalg.lstsq(B, Q[:, i], rcond=None)
+        for c in coords:
             exact = [Fraction(0)] * n
-            for j, cj in enumerate(coords):
-                cj_r = _round_fraction(float(cj), log2_den)
+            for cj, col in zip(c, scaled):
+                cj_r = _round_fraction(cj, log2_den)
                 if cj_r:
-                    col = scaled[j]
                     exact = [e + cj_r * x for e, x in zip(exact, col)]
             vectors.append(exact)
         Vf = np.array([[float(x) for x in v] for v in vectors]).T
@@ -670,6 +677,22 @@ def _near_orthonormal_rational_basis(null_basis: list):
         if svals.size and svals[0] <= 2.0 and svals[-1] >= 0.5:
             return vectors, float(svals[0]), float(1.0 / svals[-1])
     raise RuntimeError("could not round the orthonormal null basis within norm bounds")
+
+
+def _interior(W: FolnerWindow, kernel_coords) -> np.ndarray:
+    """Mask of the points g of W with K g inside W."""
+    return (groups.window_translates(W, kernel_coords) >= 0).all(axis=0)
+
+
+def _replace_columns(M: CompressionMatrix, rows, cols, vals) -> CompressionMatrix:
+    """M with every column named in ``cols`` replaced by the triples (rows,
+    cols, vals), which follow M's other triples; those keep their order."""
+    cleared = np.zeros(M.n, dtype=bool)
+    cleared[cols] = True
+    keep = np.flatnonzero(~cleared[M.cols])
+    take = lambda xs, extra: np.asarray(xs, dtype=object)[keep].tolist() + list(extra)
+    return CompressionMatrix(M.window, take(M.rows, rows), take(M.cols, cols),
+                             take(M.vals, vals), M.domain)
 
 
 def build_perturbed_compression(
@@ -701,7 +724,7 @@ def build_perturbed_compression(
 
     interiors = []
     for t_idx, W in enumerate(tiles):
-        interior = (groups.window_translates(W, kernel_coords) >= 0).all(axis=0)
+        interior = _interior(W, kernel_coords)
         inner = int(np.count_nonzero(interior))
         if inner < (1 - epsilon / 2) * len(W):
             raise DomainError(
@@ -714,74 +737,58 @@ def build_perturbed_compression(
     # level and must fit quasitile's (0, 1/2) contract
     tiling = dynamics.quasitile(F, tiles, min(epsilon / 2, 0.499), mode="pairwise-disjoint")
 
-    # per tile shape: exact null data for (f C[W'])^perp inside C[W], and
-    # the positions in F of W.F[j] in column j
+    # per tile shape: the nonzero transfer entries as tile rows, tile columns
+    # (complement points) and values, and the positions in F of W.F[j] in
+    # column j.  Interior columns keep f's column, which lies inside the tile
+    # translate; every transfer vector is nonzero.
     shape_data = {}
     for t_idx in sorted({ti for ti, _ in tiling.placements}):
         W = tiles[t_idx]
         inner = np.flatnonzero(interiors[t_idx]).tolist()
-        comp = np.flatnonzero(~interiors[t_idx]).tolist()
-        if comp:
+        comp = np.flatnonzero(~interiors[t_idx])
+        if len(comp):
             # columns of f over the interior, rows over the tile
-            rows = compress(f, W).to_int_rows()
-            null_basis = _rational_nullspace([[row[j] for row in rows] for j in inner])
+            fW = compress(f, W).to_int_rows()
+            null_basis = _rational_nullspace([[row[j] for row in fW] for j in inner])
             if len(null_basis) != len(comp):
                 raise DomainError(
                     f"tile {t_idx}: f is rank-deficient on the tile interior; "
                     "is f invertible?"
                 )
             vectors, nrm, inv_nrm = _near_orthonormal_rational_basis(null_basis)
-            mj = 1
-            for v in vectors:
-                for x in v:
-                    mj = mj * x.denominator // math.gcd(mj, x.denominator)
+            mj = math.lcm(*(x.denominator for v in vectors for x in v))
         else:
             vectors, nrm, inv_nrm, mj = [], 1.0, 1.0, 1
+        V = np.array(vectors, dtype=object).reshape(len(comp), len(W))
+        k, tile_rows = np.nonzero(V)
         pos = groups.window_translates(F, W.coords)
-        shape_data[t_idx] = (inner, comp, vectors, pos, TileTransfer(t_idx, mj, nrm, inv_nrm))
+        shape_data[t_idx] = (tile_rows, comp[k], V[k, tile_rows].tolist(), pos,
+                             TileTransfer(t_idx, mj, nrm, inv_nrm))
 
-    n = len(F)
-    S = [[Fraction(0)] * n for _ in range(n)]
-    base = compress(f, F)
-    columns = [[] for _ in range(n)]
-    for r, c, v in zip(base.rows, base.cols, base.vals):
-        if v:
-            columns[c].append((r, Fraction(v)))
-
-    covered = np.zeros(n, dtype=bool)
+    rows, cols, vals = [], [], []
+    covered = np.zeros(len(F), dtype=bool)
     for t_idx, center in tiling.placements:
-        inner, comp, vectors, pos, _ = shape_data[t_idx]
-        translate = pos[:, F.index[center]].tolist()
-        # interior columns: f itself (fully supported inside the translate)
-        for i in inner:
-            col = translate[i]
-            for r, x in columns[col]:
-                S[r][col] = x
-        for i, vec in zip(comp, vectors):
-            col = translate[i]
-            for r, x in zip(translate, vec):
-                if x:
-                    S[r][col] = x
+        tile_rows, tile_cols, values, pos, _ = shape_data[t_idx]
+        translate = pos[:, F.index[center]]
         covered[translate] = True
-    for col in np.flatnonzero(~covered).tolist():
-        S[col][col] = Fraction(1)
+        rows += translate[tile_rows].tolist()
+        cols += translate[tile_cols].tolist()
+        vals += values
+    uncovered = np.flatnonzero(~covered).tolist()
+    base = compress(ring.ring_element(f.descriptor, f.terms, ring.RATIONAL), F)
+    S = _replace_columns(base, rows + uncovered, cols + uncovered,
+                         vals + [Fraction(1)] * len(uncovered))
 
-    Sf = np.array([[float(x) for x in row] for row in S])
-    diff = Sf - base.to_float()
+    diff = S.to_float() - base.to_float()
     rank_defect = int(np.linalg.matrix_rank(diff)) if np.any(diff) else 0
-    denominator = 1
-    transfers = []
-    for t_idx in sorted(shape_data):
-        tr = shape_data[t_idx][4]
-        transfers.append(tr)
-        denominator *= tr.denominator
+    transfers = tuple(shape_data[t_idx][-1] for t_idx in sorted(shape_data))
     return PerturbedCompression(
-        matrix=tuple(tuple(row) for row in S),
+        matrix=tuple(tuple(row) for row in S.to_exact_rows()),
         window=F,
         tiling=tiling,
         rank_defect=rank_defect,
-        denominator=denominator,
-        transfers=tuple(transfers),
+        denominator=math.prod(t.denominator for t in transfers),
+        transfers=transfers,
     )
 
 
@@ -822,8 +829,7 @@ def _unit_columns(M: CompressionMatrix, kernel, rank_fraction: float, seed: int)
     k = int(math.floor(rank_fraction * len(F)))
     replaced: list[int] = []
     if k:
-        leaves = groups.window_translates(F, [kk.coords for kk in kernel]) < 0
-        boundary = np.flatnonzero(leaves.any(axis=0)).tolist()
+        boundary = np.flatnonzero(~_interior(F, [kk.coords for kk in kernel])).tolist()
         if k <= len(boundary):
             replaced = boundary[:k]
         else:
@@ -831,17 +837,5 @@ def _unit_columns(M: CompressionMatrix, kernel, rank_fraction: float, seed: int)
             rest = np.setdiff1d(np.arange(len(F)), np.array(boundary, dtype=int))
             extra = rng.choice(rest, size=k - len(boundary), replace=False)
             replaced = sorted(boundary + [int(x) for x in extra])
-    repl = set(replaced)
-    rows_keep = []
-    cols_keep = []
-    vals_keep = []
-    for r, c, v in zip(M.rows, M.cols, M.vals):
-        if c not in repl:
-            rows_keep.append(r)
-            cols_keep.append(c)
-            vals_keep.append(v)
-    for c in replaced:
-        rows_keep.append(c)
-        cols_keep.append(c)
-        vals_keep.append(ring._coerce(1, M.domain))
-    return CompressionMatrix(F, rows_keep, cols_keep, vals_keep, M.domain)
+    one = ring._coerce(1, M.domain)
+    return _replace_columns(M, replaced, replaced, [one] * len(replaced))

@@ -158,28 +158,24 @@ def solve_dual_finite(
         raise ScaleExceeded(f"{count} solutions exceed the enumeration limit {hard_limit}")
 
     n = len(window)
-    D = 1
-    for d in res.divisors:
-        D = D * d // math.gcd(D, d)
-    # int64 is safe while n * D^2 fits; otherwise fall back to Python ints
-    dtype = np.int64 if n * D * D < 2 ** 62 else object
-    scale = np.array([D // d for d in res.divisors], dtype=dtype)
+    D = math.lcm(*res.divisors)
+    # the products below stay under n D^2; D <= count, so only a raised
+    # hard_limit with at least 2^31 / sqrt(n) solutions gets past int64
+    if n * D * D >= 2 ** 62:
+        raise ScaleExceeded(f"denominator {D} over {n} points leaves int64")
+    scale = np.array([D // d for d in res.divisors], dtype=np.int64)
     # reduce mod D before the conversion: unimodular inverses can carry
     # entries far beyond 64 bits
-    Vinv = np.array([[x % D for x in row] for row in res.v_inverse], dtype=dtype)
+    Vinv = np.array([[x % D for x in row] for row in res.v_inverse], dtype=np.int64)
     grids = np.meshgrid(*[np.arange(d) for d in res.divisors], indexing="ij")
-    Y = np.stack([g.ravel() for g in grids], axis=1).astype(dtype)  # count x n
+    Y = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)  # count x n
     H = (Y * scale) @ Vinv.T % D
 
-    Mmat = np.array([[x % D for x in row] for row in M], dtype=dtype)
+    Mmat = np.array([[x % D for x in row] for row in M], dtype=np.int64)
     check = H @ Mmat.T % D
     if np.any(check):
         raise AssertionError("dual solution verification failed")
-    if dtype is object:
-        distinct = len({tuple(int(v) for v in row) for row in H})
-    else:
-        distinct = len(np.unique(H, axis=0))
-    if distinct != count:
+    if len(np.unique(H, axis=0)) != count:
         raise AssertionError("dual solutions are not pairwise distinct")
     return DualSolutionSet(window, count, D, H, res, materialize_limit)
 

@@ -591,9 +591,14 @@ def folner_window(desc: GroupDescriptor, n: int) -> FolnerWindow:
     return FolnerWindow._from(desc, n, rows=_box_coords_array(lo, hi))
 
 
-# Up to this many translates a dict lookup beats the array path: the array
-# path costs about 65 us of numpy calls whatever the size, a dict translate
-# about 1.5 us (measured on finite-group windows of 8 to 64 points).
+# Up to this many translates the dict path is used.  A dict call costs about
+# 25 us plus 2 us a translate.  The array path costs about 35 us once the
+# window's KeyIndex is cached, but 90-130 us on a window's first call, which
+# builds it.  The finite workload's small calls (2 to 48 translates on
+# cyclic windows) are nearly all first calls: there the dict path was faster
+# at every size up to 36, as fast at 40 and 12% faster at 48.  Windows reused
+# many times would do better with a limit near 20.  Only the dict path
+# handles small windows whose products leave int64.
 _SMALL_TRANSLATES = 40
 
 

@@ -209,3 +209,76 @@ def test_json_output(capsys, f_path):
     payload = json.loads(out)
     assert payload[0]["method"] == "roots"
     assert abs(float(payload[0]["value"]) - 0.962423650119) < 1e-11
+
+
+# ---------------------------------------------------------------------- against the library
+
+def test_fkdet_poly_with_certificate_interval(capsys, f_path):
+    import grdet as G
+    from grdet import det
+    code, out, _ = run(capsys, ["fkdet", "--method", "poly", "--f", f_path, "--degree", "30",
+                                "--certify", "positive-gap", "--format", "json"])
+    assert code == 0
+    f = G.parse_gre(F_GRE)
+    a, b = det.poly_trace_interval(G.certify_invertible(f, "positive-gap"), f)
+    value, bound = det.fk_poly_trace(f, (a, b), 30)
+    assert json.loads(out) == [{"method": "poly", "interval_low": a, "interval_high": b,
+                                "degree": 30, "value": value, "error_bound": bound}]
+
+
+def test_fkdet_poly_bound_is_inf_when_the_interval_misses_the_spectrum(capsys, f_path):
+    with pytest.warns(UserWarning, match="exceed 1"):
+        code, out, _ = run(capsys, ["fkdet", "--method", "poly", "--f", f_path,
+                                    "--interval", "3,25", "--degree", "4", "--assume-invertible"])
+    assert code == 0
+    assert out.strip().split("\n")[1].endswith(",inf")
+
+
+def test_entropy_finite_writes_the_dual_solutions(capsys, tmp_path):
+    import grdet as G
+    p, sol = tmp_path / "f3.gre", tmp_path / "sols.csv"
+    p.write_text(F3_GRE)
+    code, _, _ = run(capsys, ["entropy-finite", "--f", str(p), "--solutions-csv", str(sol)])
+    assert code == 0
+    f = G.parse_gre(F3_GRE)
+    assert sol.read_text() == G.solve_dual_finite(f, f.descriptor).to_csv()
+
+
+@pytest.mark.parametrize("p_arg, p", [("inf", math.inf), ("1", 1), ("2", 2)])
+def test_separated_spanning_mode(capsys, tmp_path, p_arg, p):
+    import grdet as G
+    from fractions import Fraction
+    path = tmp_path / "f3.gre"
+    path.write_text(F3_GRE)
+    code, out, _ = run(capsys, ["separated", "--f", str(path), "--epsilon", "1/5",
+                                "--p", p_arg, "--mode", "spanning", "--format", "json"])
+    assert code == 0
+    f = G.parse_gre(F3_GRE)
+    dual = G.solve_dual_finite(f, f.descriptor)
+    count = G.extremal_count(dual, dual.window, p, Fraction(1, 5), "spanning")
+    assert json.loads(out) == [{"mode": "spanning", "p": p_arg, "epsilon": "1/5",
+                                "solutions": dual.count, "count": count}]
+
+
+def test_snf_skips_comments_and_blank_lines_and_names_bad_ones(capsys, tmp_path):
+    import grdet as G
+    m = tmp_path / "m.txt"
+    m.write_text("# a 3 x 3 matrix\n\n2, 4 4\n  \n-6 6 12\n10 -4 -16\n")
+    code, out, _ = run(capsys, ["snf", "--matrix", str(m), "--format", "json"])
+    assert code == 0
+    res = G.snf([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], transforms=False)
+    assert json.loads(out) == [{"divisors": " ".join(map(str, res.divisors)),
+                                "order": G.quotient_order(res)}]
+    m.write_text("# comment\n1 2\n3 x\n")
+    code, out, err = run(capsys, ["snf", "--matrix", str(m)])
+    assert (code, out) == (2, "")
+    assert "matrix line 3" in err
+
+
+@pytest.mark.parametrize("command", [["fkdet", "--method", "sections"],
+                                     ["perturb", "--delta", "0.05"]])
+def test_schedule_stage_below_one_exits_2(capsys, f_path, command):
+    code, out, err = run(capsys, command + ["--f", f_path, "--schedule", "2,0",
+                                            "--assume-invertible"])
+    assert (code, out) == (2, "")
+    assert "schedule must be" in err

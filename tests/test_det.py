@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import grdet as G
+from grdet import det
 from grdet.det import TableRow, det_exact
 from grdet.errors import DescriptorMismatch, DomainError
 
@@ -247,8 +248,17 @@ def test_poly_trace_complex_domain():
 def test_poly_trace_warns_only_when_interval_misses_spectrum():
     # F3* F3 has spectrum [1, 25]; on [3, 25] the traces of the scaled
     # Chebyshev polynomials reach about 1.05 at degree 4
-    with pytest.warns(UserWarning, match="exceed 1"):
-        G.fk_poly_trace(F3, (3, 25), 4)
+    missing = [
+        (F3, (3, 25), 4),
+        # the spectrum of f* f reaches below 4: on (4, 16) the value is about
+        # -1.1e5, against 1.349 on an enclosing interval
+        (G.ring_element(Z1, {(0,): 4 + 0j, (1,): 0.5 + 0.5j, (-1,): 0.5 - 0.5j, (2,): -0.5j}),
+         (4, 16), 30),
+    ]
+    for f, interval, degree in missing:
+        with pytest.warns(UserWarning, match="exceed 1"):
+            _, bound = G.fk_poly_trace(f, interval, degree)
+        assert bound == math.inf
     cert = G.certify_invertible(F3, "positive-gap")
     enclosing = [
         (F3, (1, 25), 40),
@@ -354,6 +364,28 @@ def test_perturbation_study_seed_determinism():
     a = G.perturbation_study(F3, sch, 0.05, seed=11, certificate=cert)
     b = G.perturbation_study(F3, sch, 0.05, seed=11, certificate=cert)
     assert a.values() == b.values()
+
+
+def test_perturbation_study_boundary_supplies_every_column():
+    # 0.02 * 625 = 12 unit columns, all among the first boundary points of
+    # the 25 x 25 box, so the seed draws nothing; a support that is not
+    # one-sided keeps the compression from being triangular, whose
+    # determinant would not depend on which columns are replaced
+    f = G.ring_element(Z2, {(0, 0): 6, (1, 0): 1, (-1, 0): 2, (0, 1): -1, (0, -1): 1})
+    F = G.folner_window(Z2, 12)
+    g = det._canonical_adjoint_rep(f)
+    fset, kernel = set(F.coords), [h.coords for h in g.terms]
+    boundary = [j for j, (x, y) in enumerate(F.coords)
+                if any((x + a, y + b) not in fset for a, b in kernel)]
+    assert len(boundary) > 12
+    cols = boundary[:12]
+    M = G.compress(g, F).to_float()
+    M[:, cols] = 0.0
+    M[cols, cols] = 1.0
+    expected = G.logabsdet(M) / len(F)
+    for seed in (0, 5):
+        table = G.perturbation_study(f, [F], 0.02, seed=seed, assume_invertible=True)
+        assert table.values()[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_perturbation_study_rejects_large_delta():

@@ -247,6 +247,14 @@ def test_dual_solution_sets_compare_by_identity():
     assert len({dual, again, dual}) == 2
 
 
+def test_dual_past_int64_raises_before_enumeration():
+    # 2 + x over Z/40 has 2^40 - 1 solutions and D = 2^40 - 1, within a
+    # raised hard_limit; 40 D^2 leaves int64, and no enumeration could finish
+    C40 = G.cyclic_product([40])
+    with pytest.raises(ScaleExceeded, match="int64"):
+        G.solve_dual_finite(cyc_elem(C40, {0: 2, 1: 1}), C40, hard_limit=2 ** 41)
+
+
 def test_orbit_counts_reject_elements_outside_the_window():
     dual = G.solve_dual_finite(cyc_elem(C5, {0: 2, 1: 1}), C5)
     x, y = dual.vectors()[:2]

@@ -185,3 +185,20 @@ def test_shift_sections_settle_by_structural_rank(monkeypatch, n):
     values = [G.perturbation_study(u, [F], 0.02, seed=seed, assume_invertible=True).values()[0]
               for seed in range(4)]
     assert set(values) <= {-math.inf, 0.0}
+
+
+def test_integer_sparse_input_settles_like_dense():
+    # integer scipy input goes to SuperLU and keeps its exact decisions:
+    # structural rank, det mod p, or neither
+    rng = np.random.default_rng(11)
+    cases = [np.zeros((3, 3), dtype=np.int64), np.diag([1, 10**17]), _rank_deficient(rng, 30),
+             np.array([[2, 1], [1, 3]])]
+    for A in cases:
+        dense, sparse = G.factor(A), G.factor(sp.csr_matrix(A))
+        assert sparse.backend == "superlu"
+        assert (sparse.singular, sparse.proof) == (dense.singular, dense.proof)
+        assert sparse.logabsdet == pytest.approx(dense.logabsdet, rel=1e-12)
+    assert [G.factor(A).proof for A in cases] == ["structural-rank", "det-mod-p", None, None]
+    # duplicates that cancel leave an explicit zero, which carries no pattern
+    cancelled = sp.coo_matrix(([1, 5, -5], ([0, 1, 1], [0, 1, 1])), shape=(2, 2))
+    assert G.factor(cancelled).proof == "structural-rank"
