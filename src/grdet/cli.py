@@ -36,8 +36,10 @@ def _emit(columns, rows, fmt: str):
         for row in rows:
             print(",".join(_fmt(v) for v in row))
     else:
-        payload = [dict(zip(columns, row)) for row in rows]
-        json.dump(payload, sys.stdout, default=_fmt)
+        # strict JSON: a non-finite cell is the string of its CSV text
+        payload = [{c: _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
+                    for c, v in zip(columns, row)} for row in rows]
+        json.dump(payload, sys.stdout, default=_fmt, allow_nan=False)
         print()
 
 
@@ -54,8 +56,19 @@ def _load_element(args) -> ring.RingElement:
     return f
 
 
+def _number(flag: str, text: str, convert=float):
+    """text read by convert; malformed or non-finite text raises DomainError."""
+    try:
+        value = convert(text)
+    except (ValueError, ZeroDivisionError):
+        value = math.nan
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"malformed {flag} value {text!r}")
+    return value
+
+
 def _schedule(f, spec: str):
-    ns = [int(tok) for tok in spec.split(",") if tok]
+    ns = [_number("--schedule", tok, int) for tok in spec.split(",") if tok]
     if not ns or any(n < 1 for n in ns):
         raise DomainError("schedule must be a comma list of positive window stages")
     return [groups.folner_window(f.descriptor, n) for n in ns]
@@ -122,7 +135,10 @@ def cmd_fkdet(args) -> int:
         )
     else:
         if args.interval:
-            a, b = (float(tok) for tok in args.interval.split(","))
+            toks = args.interval.split(",")
+            if len(toks) != 2:
+                raise DomainError(f"malformed --interval value {args.interval!r}: need a,b")
+            a, b = (_number("--interval", tok) for tok in toks)
         else:
             if cert is None:
                 raise DomainError("--method poly needs --interval or a certificate")
@@ -188,7 +204,7 @@ def cmd_separated(args) -> int:
         eps_str = str(eps)
     else:
         eps_str = args.epsilon
-        eps = Fraction(args.epsilon) if "/" in args.epsilon else float(args.epsilon)
+        eps = _number("--epsilon", args.epsilon, lambda t: Fraction(t) if "/" in t else float(t))
     if args.mode == "separated":
         count, greedy = dynamics.separated_count_with_greedy(dual, window, p, eps)
         rows = [(args.mode, args.p, eps_str, dual.count, count, greedy)]
@@ -207,7 +223,7 @@ def cmd_separated(args) -> int:
 def cmd_quasitile(args) -> int:
     desc = groups.parse_descriptor(args.group)
     F = groups.folner_window(desc, args.n)
-    tiles = [groups.folner_window(desc, int(tok)) for tok in args.tiles.split(",")]
+    tiles = [groups.folner_window(desc, _number("--tiles", tok, int)) for tok in args.tiles.split(",")]
     tiling = dynamics.quasitile(F, tiles, args.epsilon, mode=args.mode)
     dynamics.verify_tiling(tiling)
     print(f"coverage {float(tiling.coverage):.12g}", file=sys.stderr)

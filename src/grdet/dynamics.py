@@ -7,7 +7,9 @@ For a finite group G and an integer symbol f, the dual solution set is
 When the full-group compression M is nonsingular, X_f is finite with
 exactly |det M| elements, enumerated through the Smith normal form:
 with M = U D V, the solutions are h = V^-1 y over y_i in {0, 1/d_i, ...},
-each verified exactly in modular arithmetic.
+one axis per factor d_i > 1, each verified exactly in modular arithmetic.
+entropy_finite_group compresses once and reads the Smith order from that
+dual's own Smith form; Bareiss's |det M| is its independent check.
 
 Separated and spanning counts (the l^p Bowen entropy at finite scale)
 never leave the integers: a dual's solutions are int64 numerators over one
@@ -125,6 +127,15 @@ class DualSolutionSet:
         return "\n".join(lines) + "\n"
 
 
+def _finite_window(group, caller: str) -> FolnerWindow:
+    """group itself when it is a window, else the whole of a finite group."""
+    if isinstance(group, FolnerWindow):
+        return group
+    if not isinstance(group, GroupDescriptor) or not group.is_finite:
+        raise DomainError(f"{caller} needs a finite group")
+    return groups.folner_window(group, 1)
+
+
 def solve_dual_finite(
     f: RingElement,
     group,
@@ -137,23 +148,18 @@ def solve_dual_finite(
     numerator matrix H must satisfy H M^T = 0 mod D, and its rows must be
     pairwise distinct.
     """
-    if isinstance(group, FolnerWindow):
-        window = group
-        desc = window.descriptor
-    else:
-        desc = group
-        if not isinstance(desc, GroupDescriptor) or not desc.is_finite:
-            raise DomainError("solve_dual_finite needs a finite group")
-        window = groups.folner_window(desc, 1)
+    window = _finite_window(group, "solve_dual_finite")
     if f.domain != ring.INT:
         raise DomainError("dual solution sets need exact-integer symbols")
-    M = compress(f, window).to_int_rows()
+    return _solve_dual(compress(f, window).to_int_rows(), window, materialize_limit, hard_limit)
+
+
+def _solve_dual(M, window: FolnerWindow, materialize_limit: int, hard_limit: int) -> DualSolutionSet:
+    """The dual of the integer compression M over window; see solve_dual_finite."""
     res = snf(M, transforms=True)
-    if any(d == 0 for d in res.divisors):
+    count = quotient_order(res)
+    if count is math.inf:
         raise SingularCompression("the compression is singular: X_f is infinite")
-    count = 1
-    for d in res.divisors:
-        count *= d
     if count > hard_limit:
         raise ScaleExceeded(f"{count} solutions exceed the enumeration limit {hard_limit}")
 
@@ -163,12 +169,14 @@ def solve_dual_finite(
     # hard_limit with at least 2^31 / sqrt(n) solutions gets past int64
     if n * D * D >= 2 ** 62:
         raise ScaleExceeded(f"denominator {D} over {n} points leaves int64")
-    scale = np.array([D // d for d in res.divisors], dtype=np.int64)
-    # reduce mod D before the conversion: unimodular inverses can carry
-    # entries far beyond 64 bits
-    Vinv = np.array([[x % D for x in row] for row in res.v_inverse], dtype=np.int64)
-    grids = np.meshgrid(*[np.arange(d) for d in res.divisors], indexing="ij")
-    Y = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)  # count x n
+    # y_i runs over Z/d_i, so only the factors d > 1 vary (at most log2 count
+    # axes, rows in the order of a grid over every factor); only their columns
+    # of V^-1 are reduced mod D, as unimodular inverses can leave 64 bits
+    axes = [i for i, d in enumerate(res.divisors) if d > 1]
+    dims = [res.divisors[i] for i in axes]
+    Y = np.indices(dims, dtype=np.int64).reshape(len(axes), count).T  # count x len(axes)
+    scale = np.array([D // d for d in dims], dtype=np.int64)
+    Vinv = np.array([[row[i] % D for i in axes] for row in res.v_inverse], dtype=np.int64)
     H = (Y * scale) @ Vinv.T % D
 
     Mmat = np.array([[x % D for x in row] for row in M], dtype=np.int64)
@@ -486,32 +494,22 @@ def entropy_finite_group(
     """log|X_f| / |G| with its two cross-checks.
 
     The Smith-normal-form order always equals |det| of the compression
-    (asserted exactly); the explicit dual enumeration is attached whenever
-    the count fits under enumeration_limit.
+    (asserted exactly).  When |det| fits under enumeration_limit the dual is
+    enumerated on the same compression and the order is read from its Smith
+    form; otherwise only the divisors are computed.
     """
-    if isinstance(group, FolnerWindow):
-        window = group
-    else:
-        if not group.is_finite:
-            raise DomainError("entropy_finite_group needs a finite group")
-        window = groups.folner_window(group, 1)
+    window = _finite_window(group, "entropy_finite_group")
     M = compress(f, window).to_int_rows()
-    order = quotient_order(snf(M, transforms=False))
-    if order is math.inf:
-        raise SingularCompression("singular compression: entropy is infinite")
     adet = abs(det_exact(M))
+    if adet == 0:
+        raise SingularCompression("singular compression: entropy is infinite")
+    dual = _solve_dual(M, window, 0, adet) if adet <= enumeration_limit else None
+    order = quotient_order(snf(M, transforms=False) if dual is None else dual.snf_result)
     if adet != order:
         raise AssertionError("Smith order disagrees with the exact determinant")
-    count = None
-    enumerated = False
-    if order <= enumeration_limit:
-        dual = solve_dual_finite(f, window, materialize_limit=0, hard_limit=max(order, 1))
-        count = dual.count
-        enumerated = True
-        if count != order:
-            raise AssertionError("dual enumeration disagrees with the Smith order")
     value = math.log(order) / len(window)
-    return EntropyEstimate(value, len(window), order, adet, count, enumerated)
+    count = None if dual is None else dual.count
+    return EntropyEstimate(value, len(window), order, adet, count, dual is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -282,3 +282,132 @@ def test_schedule_stage_below_one_exits_2(capsys, f_path, command):
                                             "--assume-invertible"])
     assert (code, out) == (2, "")
     assert "schedule must be" in err
+
+
+# ---------------------------------------------------------------------- strict JSON, flag errors
+
+def _strict(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_writes_non_finite_cells_as_strings(capsys, f_path, tmp_path):
+    u = tmp_path / "u.gre"
+    u.write_text("group Z^1\n1 1\n")
+    code, out, _ = run(capsys, ["fkdet", "--method", "sections", "--f", str(u),
+                                "--schedule", "2", "--assume-invertible", "--format", "json"])
+    assert code == 0
+    assert _strict(out) == [{"n": 2, "window_size": 5, "boundary_ratio": 0.4,
+                             "value": "-inf", "method": "sections"}]
+    with pytest.warns(UserWarning, match="exceed 1"):
+        code, out, _ = run(capsys, ["fkdet", "--method", "poly", "--f", f_path, "--interval", "3,25",
+                                    "--degree", "4", "--assume-invertible", "--format", "json"])
+    assert code == 0
+    (row,) = _strict(out)
+    assert row["error_bound"] == "inf" and math.isfinite(row["value"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["fkdet", "--method", "poly", "--interval", "1", "--assume-invertible"],
+    ["fkdet", "--method", "poly", "--interval", "a,b", "--assume-invertible"],
+    ["fkdet", "--method", "poly", "--interval", "1,inf", "--assume-invertible"],
+    ["fkdet", "--method", "sections", "--schedule", "2,x", "--assume-invertible"],
+    ["quasitile", "--group", "Z^1", "--n", "20", "--tiles", "2,"],
+    ["separated", "--epsilon", "abc"],
+    ["separated", "--epsilon", "1/0"],
+    ["separated", "--epsilon", "nan"],
+], ids=" ".join)
+def test_malformed_numeric_flags_exit_2(capsys, tmp_path, argv):
+    p = tmp_path / "f.gre"
+    p.write_text(F3_GRE if argv[0] == "separated" else F_GRE)
+    flag = next(a for a in argv if a in ("--interval", "--schedule", "--tiles", "--epsilon"))
+    code, out, err = run(capsys, argv + ([] if argv[0] == "quasitile" else ["--f", str(p)]))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed {flag} value ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------- more against the library
+
+def test_separated_default_epsilon(capsys, tmp_path):
+    import grdet as G
+    from fractions import Fraction
+    from grdet.dynamics import separated_count_with_greedy
+    p = tmp_path / "f3.gre"
+    p.write_text(F3_GRE)
+    code, out, _ = run(capsys, ["separated", "--f", str(p), "--p", "1", "--format", "json"])
+    assert code == 0
+    f = G.parse_gre(F3_GRE)
+    dual = G.solve_dual_finite(f, f.descriptor)
+    eps = Fraction(1, 8 * int(G.l1_norm(f)))
+    count, greedy = separated_count_with_greedy(dual, dual.window, 1, eps)
+    assert _strict(out) == [{"mode": "separated", "p": "1", "epsilon": str(eps),
+                             "solutions": dual.count, "count": count,
+                             "greedy_lower_bound": greedy}]
+
+
+def test_quasitile_json(capsys):
+    import grdet as G
+    code, out, err = run(capsys, ["quasitile", "--group", "Z^2", "--n", "4", "--tiles", "2,1",
+                                  "--epsilon", "0.1", "--format", "json"])
+    assert code == 0
+    Z2 = G.integer_lattice(2)
+    t = G.quasitile(G.folner_window(Z2, 4), [G.folner_window(Z2, 2), G.folner_window(Z2, 1)], 0.1)
+    assert _strict(out) == [{"tile_index": ti, "center_coordinates": " ".join(map(str, c.coords))}
+                            for ti, c in t.placements]
+    assert err == f"coverage {float(t.coverage):.12g}\n"
+
+
+def test_mahler_grid_through_a_torus_zero_warns_on_one_line(capsys, tmp_path):
+    import warnings
+    import grdet as G
+    p = tmp_path / "g.gre"
+    p.write_text("group Z^1\n1 0\n-1 1\n")
+    code, out, err = run(capsys, ["mahler", "--method", "grid", "--f", str(p), "--grid-n", "64"])
+    assert code == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = G.mahler_grid(G.parse_gre(p.read_text()), 64)
+    (w,) = caught
+    assert err == f"{w.message}\n"
+    assert out == f"method,grid_n,value\ngrid,64,{value:.12g}\n"
+
+
+@pytest.mark.parametrize("text, method", [("group Z^1\n1 0\n-1 1\n", "torus-min"),
+                                          ("group Z^1\n1 0\n1 1\n1 -1\n", "positive-gap")])
+def test_certify_not_certifiable_exits_3_with_reason(capsys, tmp_path, text, method):
+    import grdet as G
+    p = tmp_path / "g.gre"
+    p.write_text(text)
+    code, out, _ = run(capsys, ["certify", "--f", str(p), "--method", method, "--format", "json"])
+    cert = G.certify_invertible(G.parse_gre(text), method)
+    assert code == 3 and not cert.certified and cert.reason
+    (row,) = _strict(out)
+    assert (row["method"], row["certified"], row["reason"]) == (method, 0, cert.reason)
+
+
+def test_fkdet_poly_assumed_without_interval_exits_2(capsys, f_path):
+    code, out, err = run(capsys, ["fkdet", "--method", "poly", "--f", f_path, "--assume-invertible"])
+    assert (code, out) == (2, "")
+    assert err == "error: --method poly needs --interval or a certificate\n"
+
+
+# groups above 32 points (see tests/test_dynamics.py)
+ABOVE_32 = [("group Zmod:40\n1 4\n1 23\n1 25\n", 3), ("group Zmod:33\n1 1\n", 1),
+            ("group Zmod:70\n1 1\n", 1), ("group Zmod:2x20\n1 1 5\n1 1 7\n1 1 16\n", 9)]
+
+
+@pytest.mark.parametrize("text, count", ABOVE_32, ids=[t.split("\n")[0] for t, _ in ABOVE_32])
+def test_finite_subcommands_above_32_points(capsys, tmp_path, text, count):
+    import grdet as G
+    p, sol = tmp_path / "g.gre", tmp_path / "sols.csv"
+    p.write_text(text)
+    f = G.parse_gre(text)
+    n = f.descriptor.order()
+    code, out, _ = run(capsys, ["entropy-finite", "--f", str(p), "--solutions-csv", str(sol)])
+    assert code == 0
+    assert out.split("\n")[1] == f"{n},{count},{count},{count},{math.log(count) / n:.12g}"
+    assert sol.read_text() == G.solve_dual_finite(f, f.descriptor).to_csv()
+    code, out, _ = run(capsys, ["separated", "--f", str(p)])
+    assert code == 0
+    assert out.split("\n")[1].split(",")[3:] == [str(count)] * 3

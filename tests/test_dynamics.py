@@ -119,6 +119,34 @@ def test_solve_dual_requires_integer_domain():
         G.solve_dual_finite(f, C3)
 
 
+# groups above 32 points: one enumeration axis per Smith factor d > 1, where a
+# grid over every group element passed numpy's 32 axes
+ABOVE_32 = {
+    "x^4 + x^23 + x^25 on Z/40": ("group Zmod:40\n1 4\n1 23\n1 25\n", 3),
+    "shift on Z/33": ("group Zmod:33\n1 1\n", 1),
+    "shift on Z/70": ("group Zmod:70\n1 1\n", 1),
+    "x y^5 + x y^7 + x y^16 on Z/2 x Z/20": ("group Zmod:2x20\n1 1 5\n1 1 7\n1 1 16\n", 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABOVE_32))
+def test_duals_of_groups_above_32_points(name):
+    text, count = ABOVE_32[name]
+    f = G.parse_gre(text)
+    desc = f.descriptor
+    M = G.compress(f, G.folner_window(desc, 1)).to_int_rows()
+    assert abs(G.det_exact(M)) == count
+    dual = G.solve_dual_finite(f, desc)
+    vecs = dual.vectors()
+    assert dual.count == len({h.values for h in vecs}) == count
+    # f.h = 0 on R/Z, checked in Fractions rather than modulo D
+    for h in vecs:
+        assert all(sum(m * v for m, v in zip(row, h.values)).denominator == 1 for row in M)
+    est = G.entropy_finite_group(f, desc)
+    assert (est.quotient_order, est.abs_det, est.solution_count) == (count, count, count)
+    assert est.dual_enumerated and est.value == math.log(count) / desc.order()
+
+
 # ---------------------------------------------------------------------- orbit distances
 
 def test_orbit_distance_examples():
@@ -557,6 +585,22 @@ def test_entropy_examples():
 def test_entropy_singular():
     with pytest.raises(SingularCompression):
         G.entropy_finite_group(cyc_elem(C2, {0: 1, 1: 1}), C2)
+
+
+def test_entropy_given_a_window():
+    f = cyc_elem(C5, {0: 3, 1: 1})
+    assert G.entropy_finite_group(f, G.folner_window(C5, 1)) == G.entropy_finite_group(f, C5)
+    # a window short of the group: the chain runs on the section f_W
+    W = G.window_from_coords(C5, [(0,), (1,), (2,)])
+    adet = abs(G.det_exact(G.compress(f, W).to_int_rows()))
+    est = G.entropy_finite_group(f, W)
+    assert (est.group_order, est.abs_det, est.quotient_order, est.solution_count) == (3, adet, adet, adet)
+    assert est.value == math.log(adet) / 3 and est.solution_count == G.solve_dual_finite(f, W).count
+    # below |det| the order is the Smith order alone
+    skipped = G.entropy_finite_group(f, W, enumeration_limit=adet - 1)
+    assert (skipped.quotient_order, skipped.solution_count, skipped.dual_enumerated) == (adet, None, False)
+    with pytest.raises(DomainError, match="entropy_finite_group needs a finite group"):
+        G.entropy_finite_group(f, Z1)
 
 
 # ---------------------------------------------------------------------- lattice balls

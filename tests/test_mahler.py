@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 import grdet as G
@@ -126,6 +127,13 @@ def test_circulant_examples():
     # det of circ(2,1,0) = 2^3 + 1 = 9
     assert G.circulant_logdet(f, 3) == pytest.approx(math.log(9) / 3, rel=1e-12)
     assert G.circulant_logdet(G.identity_element(Z1), 5) == 0.0
+
+
+def test_circulant_of_a_vanishing_image_is_minus_inf():
+    # 1 - u^2 folds to 0 mod 2 and x - x y^3 to 0 mod 3: the circulant is zero
+    assert G.circulant_logdet(zpoly({0: 1, 2: -1}), 2) == -math.inf
+    assert G.circulant_logdet(zpoly({(1, 0): 1, (1, 3): -1}, Z2), 3) == -math.inf
+    assert G.logabsdet(np.zeros((9, 9))) == -math.inf
 
 
 def test_circulant_matches_grid_randomized():
