@@ -141,21 +141,20 @@ def solve_dual_finite(
     group,
     materialize_limit: int = EXTREMAL_SCALE_LIMIT,
     hard_limit: int = DUAL_HARD_LIMIT,
+    *,
+    rows=None,
 ) -> DualSolutionSet:
     """Enumerate X_f for a finite group through the Smith normal form.
 
-    Every solution is verified exactly: with common denominator D, the
-    numerator matrix H must satisfy H M^T = 0 mod D, and its rows must be
-    pairwise distinct.
+    rows is the integer compression of f over the window when the caller
+    already holds it; otherwise f is compressed here.  Every solution is
+    verified exactly: with common denominator D, the numerator matrix H must
+    satisfy H M^T = 0 mod D, and its rows must be pairwise distinct.
     """
     window = _finite_window(group, "solve_dual_finite")
     if f.domain != ring.INT:
         raise DomainError("dual solution sets need exact-integer symbols")
-    return _solve_dual(compress(f, window).to_int_rows(), window, materialize_limit, hard_limit)
-
-
-def _solve_dual(M, window: FolnerWindow, materialize_limit: int, hard_limit: int) -> DualSolutionSet:
-    """The dual of the integer compression M over window; see solve_dual_finite."""
+    M = compress(f, window).to_int_rows() if rows is None else rows
     res = snf(M, transforms=True)
     count = quotient_order(res)
     if count is math.inf:
@@ -503,7 +502,8 @@ def entropy_finite_group(
     adet = abs(det_exact(M))
     if adet == 0:
         raise SingularCompression("singular compression: entropy is infinite")
-    dual = _solve_dual(M, window, 0, adet) if adet <= enumeration_limit else None
+    dual = (solve_dual_finite(f, window, 0, adet, rows=M)
+            if adet <= enumeration_limit else None)
     order = quotient_order(snf(M, transforms=False) if dual is None else dual.snf_result)
     if adet != order:
         raise AssertionError("Smith order disagrees with the exact determinant")
