@@ -21,7 +21,6 @@ from .groups import (
     GroupDescriptor,
     GroupElement,
     boundary_ratio,
-    box_boundary_ratio,
     cyclic_product,
     descriptor_string,
     folner_window,
@@ -73,7 +72,6 @@ from .det import (
     snf,
 )
 from .mahler import (
-    LaurentPoly,
     circulant_logdet,
     mahler_grid,
     mahler_roots,

@@ -74,12 +74,12 @@ def _schedule(f, spec: str):
     return [groups.folner_window(f.descriptor, n) for n in ns]
 
 
-def _auto_certificate(f):
+def _auto_certificate(f, grid_n):
     methods = ["positive-gap", "l1-neumann"]
     if f.descriptor.family == groups.LATTICE:
         methods.append("torus-min")
     for m in methods:
-        cert = sections.certify_invertible(f, m)
+        cert = sections.certify_invertible(f, m, grid_n=grid_n)
         if cert.certified:
             return cert
     return cert
@@ -91,7 +91,7 @@ def _gate(f, args):
     cert = (
         sections.certify_invertible(f, args.certify, grid_n=args.grid_n)
         if args.certify
-        else _auto_certificate(f)
+        else _auto_certificate(f, args.grid_n)
     )
     if not cert.certified:
         print(f"not certifiable: {cert.reason}", file=sys.stderr)
@@ -112,11 +112,7 @@ def cmd_mahler(args) -> int:
         value = mahler.mahler_roots(f)
         _emit(["method", "value"], [("roots", value)], args.format)
     else:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = mahler.mahler_grid(f, args.grid_n)
-        for w in caught:
-            print(str(w.message), file=sys.stderr)
+        value = mahler.mahler_grid(f, args.grid_n)
         _emit(["method", "grid_n", "value"], [("grid", args.grid_n, value)], args.format)
     return EXIT_OK
 
@@ -227,14 +223,11 @@ def cmd_quasitile(args) -> int:
     tiling = dynamics.quasitile(F, tiles, args.epsilon, mode=args.mode)
     dynamics.verify_tiling(tiling)
     print(f"coverage {float(tiling.coverage):.12g}", file=sys.stderr)
-    if args.format == "csv":
-        sys.stdout.write(tiling.to_csv())
-    else:
-        _emit(
-            ["tile_index", "center_coordinates"],
-            [(ti, " ".join(str(x) for x in c.coords)) for ti, c in tiling.placements],
-            "json",
-        )
+    _emit(
+        ["tile_index", "center_coordinates"],
+        [(ti, " ".join(str(x) for x in c.coords)) for ti, c in tiling.placements],
+        args.format,
+    )
     return EXIT_OK
 
 
@@ -259,6 +252,8 @@ def cmd_perturb(args) -> int:
 
 def cmd_l1growth(args) -> int:
     # (e + a - a^2) b = b + ab - a^2 b as reduced words
+    if args.k < 0:
+        raise DomainError("--k must be a nonnegative integer")
     desc = groups.free_group_rank2()
     base = ring.ring_element(desc, {(2,): 1, (1, 2): 1, (1, 1, 2): -1})
     rows = []
@@ -371,19 +366,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _warning_line(message, *_):
+    print(message, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    try:
-        return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PRECONDITION
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    with warnings.catch_warnings():
+        # a library warning is one stderr line, its message, when it is raised
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = _warning_line
+        try:
+            return args.func(args)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_PRECONDITION
+        except (DomainError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

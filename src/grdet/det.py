@@ -296,9 +296,6 @@ class ConvergenceTable:
     def values(self):
         return [r.value for r in self.rows]
 
-    def defects(self):
-        return [r for r in self.rows if r.is_defect]
-
     def to_csv(self) -> str:
         lines = ["n,window_size,boundary_ratio,value,method"]
         for r in self.rows:
@@ -566,13 +563,17 @@ def fk_poly_trace(f: RingElement, interval, degree: int):
     return value, bound
 
 
-def poly_trace_interval(certificate: InvertibilityCertificate, f: RingElement, padding: float = 0.05):
+# poly_trace_interval widens its enclosure by this fraction on each side
+_INTERVAL_PADDING = 0.05
+
+
+def poly_trace_interval(certificate: InvertibilityCertificate, f: RingElement):
     """Spectral enclosure [sigma_min^2, |f|_1^2] for f* f, padded outward."""
     if not certificate.certified:
         raise DomainError("certificate does not certify invertibility")
     a = certificate.sigma_lower ** 2
     b = float(ring.l1_norm(f)) ** 2
-    return a * (1.0 - padding), b * (1.0 + padding)
+    return a * (1.0 - _INTERVAL_PADDING), b * (1.0 + _INTERVAL_PADDING)
 
 
 # ---------------------------------------------------------------------------

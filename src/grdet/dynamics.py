@@ -149,7 +149,9 @@ def solve_dual_finite(
     rows is the integer compression of f over the window when the caller
     already holds it; otherwise f is compressed here.  Every solution is
     verified exactly: with common denominator D, the numerator matrix H must
-    satisfy H M^T = 0 mod D, and its rows must be pairwise distinct.
+    satisfy H M^T = 0 mod D, and its rows must be pairwise distinct.  The
+    rows come in lexicographic order, so the order of numerators (and of
+    everything read from it) does not depend on the Smith form's pivots.
     """
     window = _finite_window(group, "solve_dual_finite")
     if f.domain != ring.INT:
@@ -169,8 +171,8 @@ def solve_dual_finite(
     if n * D * D >= 2 ** 62:
         raise ScaleExceeded(f"denominator {D} over {n} points leaves int64")
     # y_i runs over Z/d_i, so only the factors d > 1 vary (at most log2 count
-    # axes, rows in the order of a grid over every factor); only their columns
-    # of V^-1 are reduced mod D, as unimodular inverses can leave 64 bits
+    # axes); only their columns of V^-1 are reduced mod D, as unimodular
+    # inverses can leave 64 bits
     axes = [i for i, d in enumerate(res.divisors) if d > 1]
     dims = [res.divisors[i] for i in axes]
     Y = np.indices(dims, dtype=np.int64).reshape(len(axes), count).T  # count x len(axes)
@@ -182,7 +184,9 @@ def solve_dual_finite(
     check = H @ Mmat.T % D
     if np.any(check):
         raise AssertionError("dual solution verification failed")
-    if len(np.unique(H, axis=0)) != count:
+    # lexicographic rows, whatever pivots the Smith form chose
+    H = np.unique(H, axis=0)
+    if len(H) != count:
         raise AssertionError("dual solutions are not pairwise distinct")
     return DualSolutionSet(window, count, D, H, res, materialize_limit)
 
@@ -235,14 +239,14 @@ def _relation_bitsets(H: np.ndarray, D: int, p, eps: Fraction) -> list[int]:
 
     Row i of H holds the numerators over D (each in [0, D)) of x_i at the
     positions of F.  Circle distances are counted in units of 1/D, and each
-    statistic is compared with eps = a/b (b > 0) by cross-multiplying:
+    statistic is compared with eps = a/b (a, b > 0) by cross-multiplying:
 
         l^inf:  b max       > a D          <=>  max   > floor(a D / b)
         l^1:    b sum       > a |F| D      <=>  sum   > floor(a |F| D / b)
         l^2:    b^2 sumsq   > a^2 |F| D^2  <=>  sumsq > floor(a^2 |F| D^2 / b^2)
 
     No statistic exceeds |F| D^2 / 4, so int64 holds every value whenever
-    |F| D^2 < 2^62 (the clamped threshold included); otherwise the arrays
+    |F| D^2 < 2^62 (the threshold is capped there too); otherwise the arrays
     hold Python ints.  Rows go in blocks, so the full m x m x |F| array of
     distances is never built.
     """
@@ -255,7 +259,7 @@ def _relation_bitsets(H: np.ndarray, D: int, p, eps: Fraction) -> list[int]:
         thr, top = a * k * D // b, k * half
     else:
         thr, top = a * a * k * D * D // (b * b), k * half * half
-    thr = max(-1, min(thr, top))
+    thr = min(thr, top)
     dtype = np.int64 if k * D * D < 2 ** 62 else object
     H = np.asarray(H).astype(dtype)
     step = max(1, _RELATION_BLOCK // max(1, m * k))
@@ -440,7 +444,10 @@ def _extremal_relation(S, F, p, eps) -> list[int]:
         D = math.lcm(*(x.denominator for row in rows for x in row))
         H = np.array([[x.numerator * (D // x.denominator) for x in row] for row in rows],
                      dtype=object).reshape(count, len(rows[0]))
-    return _relation_bitsets(H, D, p, Fraction(eps))
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    return _relation_bitsets(H, D, p, eps)
 
 
 def extremal_count(S, F, p, eps, mode: str) -> int:
@@ -449,10 +456,10 @@ def extremal_count(S, F, p, eps, mode: str) -> int:
     S is a DualSolutionSet, whose integer numerators feed the relation
     directly (materialized or not), or a sequence of TorusVectors, whose
     coordinates are taken exactly (floats by their binary value) over one
-    common denominator.  p is 1, 2 or inf; the relation d > eps (strict)
-    is computed exactly on integers by the row-blocked kernel
-    _relation_bitsets.  Separated: maximum clique of that graph, a greedy
-    clique refined by MCQ's colouring-bounded branch-and-bound.  Spanning:
+    common denominator.  p is 1, 2 or inf, and eps > 0; the relation
+    d > eps (strict) is computed exactly on integers by the row-blocked
+    kernel _relation_bitsets.  Separated: maximum clique of that graph, a
+    greedy clique refined by MCQ's colouring-bounded branch-and-bound.  Spanning:
     exact minimum set cover by the closed eps-balls, bounded by disjoint
     balls around uncovered points.  Point sets above 4096 are rejected, not
     approximated; that limit bounds memory (m^2 bits of relation), while
@@ -553,12 +560,6 @@ class Tiling:
     coverage: Fraction
     mode: str
     eps: float
-
-    def to_csv(self) -> str:
-        lines = ["tile_index,center_coordinates"]
-        for ti, c in self.placements:
-            lines.append(f"{ti},{' '.join(str(x) for x in c.coords)}")
-        return "\n".join(lines) + "\n"
 
 
 _MODES = {"pairwise-disjoint", "epsilon-disjoint"}

@@ -648,15 +648,3 @@ def boundary_ratio(window: FolnerWindow, K) -> Fraction:
             pieces.append(outside)
     count = len(KeyIndex.distinct(np.vstack(pieces))[0].rows) if pieces else 0
     return Fraction(count + len(window) - int(np.count_nonzero(hit[:-1])), len(window))
-
-
-def box_boundary_ratio(desc: GroupDescriptor, n: int, K) -> Fraction:
-    """boundary_ratio(folner_window(desc, n), K), for K holding the identity.
-
-    A standard window's rows fill their box, so its membership test is key
-    arithmetic; this name stays for callers of the former box-only path.
-    """
-    window, K = folner_window(desc, n), list(K)
-    if K and identity(desc) not in K:
-        raise DomainError("box_boundary_ratio requires the identity in K")
-    return boundary_ratio(window, K)

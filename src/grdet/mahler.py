@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,56 +29,24 @@ from .sections import _torus_values, compress
 ZERO_SYMBOL_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """A lattice ring element viewed as coefficients on exponent vectors."""
-
-    descriptor: groups.GroupDescriptor
-    exps: tuple  # sorted tuple of (exponent tuple, coefficient)
-
-    @property
-    def dimension(self) -> int:
-        return self.descriptor.params[0]
-
-    @classmethod
-    def from_ring_element(cls, f: RingElement) -> "LaurentPoly":
-        if f.descriptor.family != groups.LATTICE:
-            raise DomainError("Laurent view needs an integer-lattice element")
-        pairs = tuple((g.coords, v) for g, v in f.sorted_terms())
-        return cls(f.descriptor, pairs)
-
-    def to_ring_element(self) -> RingElement:
-        return ring.ring_element(self.descriptor, dict(self.exps))
-
-    def univariate(self):
-        """For d = 1: (k, [c_0..c_n]) with f = u^k * sum c_j u^j, c_0 c_n != 0."""
-        if self.dimension != 1:
-            raise DomainError("univariate extraction needs d = 1")
-        if not self.exps:
-            raise DomainError("zero element has no Laurent normal form")
-        lo = self.exps[0][0][0]
-        hi = self.exps[-1][0][0]
-        coeffs = [0] * (hi - lo + 1)
-        for (e,), c in self.exps:
-            coeffs[e - lo] = c
-        return lo, coeffs
-
-
-def _as_laurent(f) -> LaurentPoly:
-    if isinstance(f, LaurentPoly):
-        return f
-    return LaurentPoly.from_ring_element(f)
-
-
-def mahler_roots(f) -> float:
+def mahler_roots(f: RingElement) -> float:
     """Log Mahler measure for d = 1 from polynomial roots.
 
-    Uses the companion-matrix eigenvalue solver (with balancing) behind
-    numpy.roots; accurate to ~1e-10 absolute through degree 50.
+    f = u^k * sum c_j u^j with c_0 c_n != 0; the roots of sum c_j u^j come
+    from the companion-matrix eigenvalue solver (with balancing) behind
+    numpy.roots, accurate to ~1e-10 absolute through degree 50.
     """
-    poly = _as_laurent(f)
-    _, coeffs = poly.univariate()
-    cs = [float(c) for c in coeffs]
+    if f.descriptor.family != groups.LATTICE:
+        raise DomainError("Laurent view needs an integer-lattice element")
+    if f.descriptor.params[0] != 1:
+        raise DomainError("univariate extraction needs d = 1")
+    if not f:
+        raise DomainError("zero element has no Laurent normal form")
+    terms = f.sorted_terms()
+    lo = terms[0][0].coords[0]
+    cs = [0.0] * (terms[-1][0].coords[0] - lo + 1)
+    for g, c in terms:
+        cs[g.coords[0] - lo] = float(c)
     n = len(cs) - 1
     if n == 0:
         return math.log(abs(cs[0]))
@@ -129,12 +96,9 @@ def circulant_logdet(f: RingElement, N: int) -> float:
     if not (isinstance(N, int) and N >= 2):
         raise DomainError("modulus must be an integer >= 2")
     d = f.descriptor.params[0]
+    # the quotient's coordinates reduce mod N; colliding terms add up
     quot = groups.cyclic_product([N] * d)
-    folded: dict = {}
-    for g, v in f.sorted_terms():
-        key = tuple(x % N for x in g.coords)
-        folded[key] = folded.get(key, 0) + v
-    img = ring.ring_element(quot, folded, f.domain)
+    img = ring.ring_element(quot, {g.coords: v for g, v in f.sorted_terms()}, f.domain)
     window = groups.folner_window(quot, 1)
     if not img:
         return -math.inf

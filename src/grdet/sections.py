@@ -59,12 +59,6 @@ class CompressionMatrix:
     def density(self) -> float:
         return self.nnz / (self.n * self.n)
 
-    def entry(self, i: int, j: int):
-        for r, c, v in zip(self.rows, self.cols, self.vals):
-            if r == i and c == j:
-                return v
-        return ring._coerce(0, self.domain)
-
     def to_exact_rows(self):
         zero = ring._coerce(0, self.domain)
         M = [[zero] * self.n for _ in range(self.n)]

@@ -353,14 +353,14 @@ def test_c11_heisenberg_consistency():
 def test_c12_folner_sanity():
     t0 = time.monotonic()
     K1 = [G.GroupElement(Z1, (k,)) for k in (-1, 0, 1)]
-    assert G.box_boundary_ratio(Z1, 10, K1) < Fraction(1, 10)
+    assert G.boundary_ratio(G.folner_window(Z1, 10), K1) < Fraction(1, 10)
 
     cross = [G.GroupElement(Z2, c) for c in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]]
-    assert G.box_boundary_ratio(Z2, 20, cross) < Fraction(1, 10)
+    assert G.boundary_ratio(G.folner_window(Z2, 20), cross) < Fraction(1, 10)
 
     KH = [G.GroupElement(H3, c) for c in [(0, 0, 0), (1, 0, 0), (-1, 0, 0),
                                           (0, 1, 0), (0, -1, 0)]]
-    ratio = G.box_boundary_ratio(H3, 25, KH)
+    ratio = G.boundary_ratio(G.folner_window(H3, 25), KH)
     assert ratio < Fraction(1, 10)
     elapsed = time.monotonic() - t0
     report("12 folner sanity", elapsed,

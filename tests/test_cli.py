@@ -8,6 +8,9 @@ from grdet import cli
 F_GRE = "group Z^1\n3 0\n1 1\n1 -1\n"
 H_GRE = "group H3\n5 0 0 0\n1 1 0 0\n1 -1 0 0\n1 0 1 0\n1 0 -1 0\n"
 F3_GRE = "group Zmod:3\n2 0\n1 1\n"
+# the warning fk_poly_trace raises when its interval misses the spectrum
+POLY_MISS_WARNING = ("Chebyshev traces exceed 1 in magnitude; the interval probably does not "
+                     "enclose the spectrum of f*f and the result is unreliable\n")
 
 
 @pytest.fixture
@@ -158,11 +161,16 @@ def test_l1growth_cli(capsys):
 
 
 def test_quasitile_cli(capsys):
+    import grdet as G
     code, out, err = run(capsys, ["quasitile", "--group", "Z^1", "--n", "20",
                                   "--tiles", "2", "--epsilon", "0.1"])
     assert code == 0
-    assert out.startswith("tile_index,center_coordinates")
-    assert "coverage" in err
+    Z1 = G.integer_lattice(1)
+    t = G.quasitile(G.folner_window(Z1, 20), [G.folner_window(Z1, 2)], 0.1)
+    assert out == "tile_index,center_coordinates\n" + "".join(
+        f"{ti},{c.coords[0]}\n" for ti, c in t.placements)
+    assert out.split("\n")[1] == "0,-18"
+    assert err == f"coverage {float(t.coverage):.12g}\n"
 
 
 def test_certify_cli_exit_codes(capsys, f_path, tmp_path):
@@ -227,11 +235,25 @@ def test_fkdet_poly_with_certificate_interval(capsys, f_path):
 
 
 def test_fkdet_poly_bound_is_inf_when_the_interval_misses_the_spectrum(capsys, f_path):
-    with pytest.warns(UserWarning, match="exceed 1"):
-        code, out, _ = run(capsys, ["fkdet", "--method", "poly", "--f", f_path,
-                                    "--interval", "3,25", "--degree", "4", "--assume-invertible"])
+    code, out, err = run(capsys, ["fkdet", "--method", "poly", "--f", f_path,
+                                  "--interval", "3,25", "--degree", "4", "--assume-invertible"])
     assert code == 0
     assert out.strip().split("\n")[1].endswith(",inf")
+    assert err == POLY_MISS_WARNING
+
+
+def test_fkdet_poly_warning_is_one_line_outside_pytest(f_path):
+    # pytest records warnings itself; a plain interpreter shows the printer in use
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "grdet.cli", "fkdet", "--method", "poly", "--f", f_path,
+         "--interval", "3,25", "--degree", "4", "--assume-invertible"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == POLY_MISS_WARNING
 
 
 def test_entropy_finite_writes_the_dual_solutions(capsys, tmp_path):
@@ -300,10 +322,9 @@ def test_json_writes_non_finite_cells_as_strings(capsys, f_path, tmp_path):
     assert code == 0
     assert _strict(out) == [{"n": 2, "window_size": 5, "boundary_ratio": 0.4,
                              "value": "-inf", "method": "sections"}]
-    with pytest.warns(UserWarning, match="exceed 1"):
-        code, out, _ = run(capsys, ["fkdet", "--method", "poly", "--f", f_path, "--interval", "3,25",
-                                    "--degree", "4", "--assume-invertible", "--format", "json"])
-    assert code == 0
+    code, out, err = run(capsys, ["fkdet", "--method", "poly", "--f", f_path, "--interval", "3,25",
+                                  "--degree", "4", "--assume-invertible", "--format", "json"])
+    assert (code, err) == (0, POLY_MISS_WARNING)
     (row,) = _strict(out)
     assert row["error_bound"] == "inf" and math.isfinite(row["value"])
 
@@ -411,3 +432,35 @@ def test_finite_subcommands_above_32_points(capsys, tmp_path, text, count):
     code, out, _ = run(capsys, ["separated", "--f", str(p)])
     assert code == 0
     assert out.split("\n")[1].split(",")[3:] == [str(count)] * 3
+
+
+@pytest.mark.parametrize("mode", ["separated", "spanning"])
+@pytest.mark.parametrize("eps", ["-1", "0", "-1/5", "0/3", "0.0"])
+def test_separated_nonpositive_epsilon_exits_2(capsys, tmp_path, mode, eps):
+    p = tmp_path / "f3.gre"
+    p.write_text(F3_GRE)
+    code, out, err = run(capsys, ["separated", "--f", str(p), f"--epsilon={eps}", "--mode", mode])
+    assert (code, out, err) == (2, "", "error: eps must be positive\n")
+
+
+def test_l1growth_negative_k_exits_2(capsys):
+    code, out, err = run(capsys, ["l1growth", "--k", "-1"])
+    assert (code, out, err) == (2, "", "error: --k must be a nonnegative integer\n")
+    code, out, _ = run(capsys, ["l1growth", "--k", "0"])
+    assert (code, out) == (0, "k,l1_norm,support_size\n0,1,1\n")
+
+
+@pytest.mark.parametrize("command", [["fkdet", "--method", "sections"],
+                                     ["perturb", "--delta", "0.05"]])
+def test_automatic_certificate_uses_grid_n(capsys, tmp_path, command):
+    # 2 + 2u - u^2: neither positive-gap nor l1-neumann certifies it, and
+    # torus-min needs a grid finer than 2 points
+    p = tmp_path / "q.gre"
+    p.write_text("group Z^1\n2 0\n2 1\n-1 2\n")
+    argv = command + ["--f", str(p), "--schedule", "4"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.startswith("n,window_size")
+    for certify in ([], ["--certify", "torus-min"]):
+        code, out, err = run(capsys, argv + ["--grid-n", "2"] + certify)
+        assert (code, out) == (3, "")
+        assert err == "not certifiable: grid minimum minus Lipschitz slack is not positive\n"

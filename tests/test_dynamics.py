@@ -147,6 +147,31 @@ def test_duals_of_groups_above_32_points(name):
     assert est.dual_enumerated and est.value == math.log(count) / desc.order()
 
 
+@pytest.mark.parametrize("moduli", [[5], [6], [8], [2, 2], [2, 3], [3, 3], [2, 4], [2, 2, 2]],
+                         ids=str)
+def test_dual_numerators_come_in_lexicographic_order(moduli):
+    # the order must not depend on the Smith form's pivots: rows sorted as tuples
+    rng = random.Random(f"lex-{moduli}")
+    desc = G.cyclic_product(moduli)
+    elems = G.folner_window(desc, 1).elements
+    checked = 0
+    while checked < 4:
+        terms = {g.coords: rng.randint(-2, 2) for g in rng.sample(elems, min(3, len(elems)))}
+        try:
+            dual = G.solve_dual_finite(G.ring_element(desc, terms), desc)
+        except (SingularCompression, ScaleExceeded):
+            continue
+        rows = [tuple(r) for r in dual.numerators.tolist()]
+        assert rows == sorted(rows) and len(rows) == dual.count
+        if dual.solutions is not None:
+            assert [h.values for h in dual.solutions] == sorted(h.values for h in dual.solutions)
+        checked += dual.count > 1
+    for text, _ in ABOVE_32.values():
+        f = G.parse_gre(text)
+        rows = [tuple(r) for r in G.solve_dual_finite(f, f.descriptor).numerators.tolist()]
+        assert rows == sorted(rows)
+
+
 # ---------------------------------------------------------------------- orbit distances
 
 def test_orbit_distance_examples():
@@ -231,6 +256,18 @@ def test_extremal_counts_reject_bad_p():
             separated_count_with_greedy(dual, dual.window, p, Fraction(1, 5))
     for p in (1, 2, math.inf, "inf", 2.0):
         G.extremal_count(dual, dual.window, p, Fraction(1, 5), "separated")
+
+
+@pytest.mark.parametrize("eps", [0, -1, Fraction(-1, 5), 0.0, -0.25])
+def test_extremal_counts_reject_nonpositive_eps(eps):
+    dual = G.solve_dual_finite(cyc_elem(C3, {0: 2, 1: 1}), C3)
+    for mode in ("separated", "spanning"):
+        with pytest.raises(DomainError, match="^eps must be positive$"):
+            G.extremal_count(dual, dual.window, math.inf, eps, mode)
+        with pytest.raises(DomainError, match="^eps must be positive$"):
+            G.extremal_count(dual.vectors(), dual.window, 1, eps, mode)
+    with pytest.raises(DomainError, match="^eps must be positive$"):
+        separated_count_with_greedy(dual, dual.window, 2, eps)
 
 
 def test_extremal_counts_on_non_materialized_dual():
@@ -372,13 +409,16 @@ def kernel_relation(S, F, p, eps):
 
 
 def occurring_eps(points, elems, p, rng):
-    """An eps equal to the orbit distance of some pair, so that the strict
-    and the non-strict comparison disagree on that pair (None for l^2 when
-    no sampled distance is rational)."""
+    """An eps equal to the positive orbit distance of some pair, so that the
+    strict and the non-strict comparison disagree on that pair (None for l^2
+    when no sampled distance is rational, or when every sampled pair
+    coincides on elems)."""
     for _ in range(20):
         x, y = rng.sample(points, 2)
         d = [oracle_circle_distance(Fraction(x.coordinate(g)), Fraction(y.coordinate(g)))
              for g in elems]
+        if not any(d):
+            continue
         if p == math.inf:
             return max(d)
         if p == 1:
@@ -444,11 +484,9 @@ def test_relation_kernel_matches_oracle_on_point_lists():
                    for _ in range(rng.randint(2, 30))]
             for F, elems in ((w, list(w.elements)), (sub, sub)):
                 for p in (1, 2, math.inf):
-                    # a negative eps separates every pair but no point from
-                    # itself; eps of any size must not overflow the int64 path
+                    # eps of any size must not overflow the int64 path
                     for eps in (Fraction(1, 7), Fraction(rng.randrange(1, den), 3 * den),
-                                occurring_eps(pts, elems, p, rng), Fraction(-1, 10),
-                                Fraction(10 ** 30), Fraction(-(10 ** 30), 7)):
+                                occurring_eps(pts, elems, p, rng), Fraction(10 ** 30)):
                         if eps is not None:
                             assert (kernel_relation(pts, F, p, eps)
                                     == oracle_pairwise_relation(pts, elems, p, eps))
@@ -702,11 +740,3 @@ def test_quasitile_coverage_shortfall_is_reported():
     t = G.quasitile(F, [interval_window(0, 9)], 0.25)
     G.verify_tiling(t)
     assert t.coverage == Fraction(9, 10)
-
-
-def test_tiling_csv():
-    F = interval_window(0, 20)
-    t = G.quasitile(F, [interval_window(0, 5)], 0.2)
-    lines = t.to_csv().strip().split("\n")
-    assert lines[0] == "tile_index,center_coordinates"
-    assert lines[1] == "0,0"

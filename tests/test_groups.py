@@ -212,13 +212,11 @@ def test_boundary_ratio_fast_path_matches_generic():
         w = G.folner_window(Z2, n)
         generic = G.window_from_coords(Z2, [g.coords for g in w.elements])
         assert G.boundary_ratio(w, cross) == G.boundary_ratio(generic, cross)
-        assert G.box_boundary_ratio(Z2, n, cross) == G.boundary_ratio(generic, cross)
     KH = [G.GroupElement(H3, c) for c in [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]]
     for n in (1, 2, 3):
         w = G.folner_window(H3, n)
         generic = G.window_from_coords(H3, [g.coords for g in w.elements])
         assert G.boundary_ratio(w, KH) == G.boundary_ratio(generic, KH)
-        assert G.box_boundary_ratio(H3, n, KH) == G.boundary_ratio(generic, KH)
 
 
 def test_boundary_ratio_vanishes_along_windows():
@@ -226,17 +224,17 @@ def test_boundary_ratio_vanishes_along_windows():
     # explicit stages (Heisenberg at 0.01 needs ~10^10-element windows and
     # is documented as out of desk scale)
     K1 = [G.GroupElement(Z1, (k,)) for k in (-1, 0, 1)]
-    vals = [G.box_boundary_ratio(Z1, n, K1) for n in (2, 4, 8, 16, 32, 64, 128)]
+    vals = [G.boundary_ratio(G.folner_window(Z1, n), K1) for n in (2, 4, 8, 16, 32, 64, 128)]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
-    assert G.box_boundary_ratio(Z1, 10, K1) < Fraction(1, 10)
-    assert G.box_boundary_ratio(Z1, 100, K1) < Fraction(1, 100)
+    assert G.boundary_ratio(G.folner_window(Z1, 10), K1) < Fraction(1, 10)
+    assert G.boundary_ratio(G.folner_window(Z1, 100), K1) < Fraction(1, 100)
 
     cross = [G.GroupElement(Z2, c) for c in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]]
-    assert G.box_boundary_ratio(Z2, 20, cross) < Fraction(1, 10)
-    assert G.box_boundary_ratio(Z2, 200, cross) < Fraction(1, 100)
+    assert G.boundary_ratio(G.folner_window(Z2, 20), cross) < Fraction(1, 10)
+    assert G.boundary_ratio(G.folner_window(Z2, 200), cross) < Fraction(1, 100)
 
     KH = [G.GroupElement(H3, c) for c in [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]]
-    hv = [G.box_boundary_ratio(H3, n, KH) for n in (4, 8, 16)]
+    hv = [G.boundary_ratio(G.folner_window(H3, n), KH) for n in (4, 8, 16)]
     assert all(b <= a for a, b in zip(hv, hv[1:]))
 
 

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,19 +76,22 @@ def test_mahler_roots_examples():
 
 
 def test_mahler_roots_rejects():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^zero element has no Laurent normal form$"):
         G.mahler_roots(G.zero_element(Z1))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^univariate extraction needs d = 1$"):
         G.mahler_roots(zpoly({(0, 0): 1}, Z2))
+    with pytest.raises(DomainError, match="^univariate extraction needs d = 1$"):
+        G.mahler_roots(G.zero_element(Z2))
+    with pytest.raises(DomainError, match="^Laurent view needs an integer-lattice element$"):
+        G.mahler_roots(G.ring_element(G.cyclic_product([5]), {(0,): 2, (1,): 1}))
 
 
-def test_laurent_round_trip():
+def test_mahler_roots_reads_laurent_coefficients():
+    # u^-2 (5 - u^2 + 2 u^5): the offset drops out, the gaps are zero coefficients
     f = zpoly({-2: 5, 0: -1, 3: 2})
-    lp = G.LaurentPoly.from_ring_element(f)
-    assert lp.to_ring_element() == f
-    k, coeffs = lp.univariate()
-    assert k == -2
-    assert coeffs == [5, 0, -1, 0, 0, 2]
+    big = [abs(r) for r in np.roots([2, 0, 0, -1, 0, 5]) if abs(r) > 1.0]
+    assert G.mahler_roots(f) == math.fsum([math.log(2)] + [math.log(r) for r in big])
+    assert G.mahler_roots(zpoly({-3: Fraction(1, 2)})) == math.log(0.5)
 
 
 def test_mahler_grid_examples():

@@ -223,8 +223,6 @@ def test_box_boundary_ratio_matches_set_oracle(desc, with_identity):
         shuffle = random.Random(f"shuffle-{desc}-{n}")
         shuffled = G.window_from_coords(desc, shuffle.sample(F.coords, len(F)))
         assert G.boundary_ratio(shuffled, K) == expected
-        if with_identity:
-            assert G.box_boundary_ratio(desc, n, K) == expected
 
 
 # ---------------------------------------------------------------------- quasitiling
