@@ -446,8 +446,6 @@ def test_separated_nonpositive_epsilon_exits_2(capsys, tmp_path, mode, eps):
 def test_l1growth_negative_k_exits_2(capsys):
     code, out, err = run(capsys, ["l1growth", "--k", "-1"])
     assert (code, out, err) == (2, "", "error: --k must be a nonnegative integer\n")
-    code, out, _ = run(capsys, ["l1growth", "--k", "0"])
-    assert (code, out) == (0, "k,l1_norm,support_size\n0,1,1\n")
 
 
 @pytest.mark.parametrize("command", [["fkdet", "--method", "sections"],
