@@ -106,6 +106,10 @@ def _table_rows(table: det.ConvergenceTable):
     ]
 
 
+def _tiling_rows(tiling: dynamics.Tiling):
+    return [(ti, " ".join(str(x) for x in c.coords)) for ti, c in tiling.placements]
+
+
 def cmd_mahler(args) -> int:
     f = _load_element(args)
     if args.method == "roots":
@@ -223,11 +227,7 @@ def cmd_quasitile(args) -> int:
     tiling = dynamics.quasitile(F, tiles, args.epsilon, mode=args.mode)
     dynamics.verify_tiling(tiling)
     print(f"coverage {float(tiling.coverage):.12g}", file=sys.stderr)
-    _emit(
-        ["tile_index", "center_coordinates"],
-        [(ti, " ".join(str(x) for x in c.coords)) for ti, c in tiling.placements],
-        args.format,
-    )
+    _emit(["tile_index", "center_coordinates"], _tiling_rows(tiling), args.format)
     return EXIT_OK
 
 

@@ -706,6 +706,16 @@ def test_quasitile_exact_cases():
     assert t2.coverage == 1
 
 
+def test_tiling_csv(capsys):
+    from grdet import cli
+    F = interval_window(0, 20)
+    t = G.quasitile(F, [interval_window(0, 5)], 0.2)
+    cli._emit(["tile_index", "center_coordinates"], cli._tiling_rows(t), "csv")
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "tile_index,center_coordinates"
+    assert lines[1] == "0,0"
+
+
 def test_quasitile_mixed_tiles():
     F = interval_window(0, 100)
     tiles = [interval_window(0, 7), interval_window(0, 3)]
