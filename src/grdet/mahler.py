@@ -34,19 +34,21 @@ def mahler_roots(f: RingElement) -> float:
 
     f = u^k * sum c_j u^j with c_0 c_n != 0; the roots of sum c_j u^j come
     from the companion-matrix eigenvalue solver (with balancing) behind
-    numpy.roots, accurate to ~1e-10 absolute through degree 50.
+    numpy.roots, accurate to ~1e-10 absolute through degree 50.  Complex
+    symbols keep complex coefficients.
     """
     if f.descriptor.family != groups.LATTICE:
-        raise DomainError("Laurent view needs an integer-lattice element")
+        raise DomainError("mahler_roots needs an integer-lattice element")
     if f.descriptor.params[0] != 1:
-        raise DomainError("univariate extraction needs d = 1")
+        raise DomainError("mahler_roots needs d = 1")
     if not f:
-        raise DomainError("zero element has no Laurent normal form")
+        raise DomainError("mahler_roots rejects the zero element")
+    scalar = complex if f.domain == ring.COMPLEX else float
     terms = f.sorted_terms()
     lo = terms[0][0].coords[0]
     cs = [0.0] * (terms[-1][0].coords[0] - lo + 1)
     for g, c in terms:
-        cs[g.coords[0] - lo] = float(c)
+        cs[g.coords[0] - lo] = scalar(c)
     n = len(cs) - 1
     if n == 0:
         return math.log(abs(cs[0]))

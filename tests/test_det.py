@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import warnings
@@ -64,8 +65,8 @@ def test_quotient_order_examples():
     assert G.quotient_order(G.snf([[1, 0], [0, 0]])) is math.inf
 
 
-def _check_snf_contract(M):
-    res = G.snf(M)
+def _check_snf_contract(M, res=None):
+    res = G.snf(M) if res is None else res
     d = res.divisors
     for a, b in zip(d, d[1:]):
         assert a >= 0 and b >= 0
@@ -79,10 +80,14 @@ def _check_snf_contract(M):
     for i, di in enumerate(d):
         D[i, i] = di
     assert np.array_equal(U @ D @ V, np.array(M, dtype=object))
-    assert abs(det_exact([list(r) for r in res.u])) == 1
-    assert abs(det_exact([list(r) for r in res.v])) == 1
     W = np.array(res.v_inverse, dtype=object)
+    # V V^-1 = I over the integers makes |det V| = 1
     assert np.array_equal(V @ W, np.eye(len(M[0]), dtype=object))
+    if len(M) == len(M[0]) and all(d):
+        # then |det U| = 1 is |det M| = prod(d)
+        assert abs(det_exact(M)) == math.prod(d)
+    else:
+        assert abs(det_exact([list(r) for r in res.u])) == 1
     return res
 
 
@@ -135,6 +140,167 @@ def test_quotient_order_matches_coset_enumeration():
             continue
         assert G.quotient_order(G.snf(M)) == coset_count_oracle(M)
         done += 1
+
+
+# The elimination snf ran before its Hermite phase, kept as an independent
+# oracle for the divisors: least-magnitude pivots (first in row-major order),
+# each followed by a repair until the pivot divides the trailing block.
+def oracle_divisors(M):
+    A = [[int(x) for x in row] for row in M]
+    m, n = len(A), len(A[0])
+    out = []
+    for s in range(min(m, n)):
+        while True:
+            block = [(abs(A[i][j]), i, j) for i in range(s, m) for j in range(s, n) if A[i][j]]
+            if not block:
+                return tuple(out + [0] * (min(m, n) - s))
+            _, i, j = min(block)
+            A[s], A[i] = A[i], A[s]
+            for row in A:
+                row[s], row[j] = row[j], row[s]
+            if A[s][s] < 0:
+                A[s] = [-x for x in A[s]]
+            p = A[s][s]
+            for i in range(s + 1, m):
+                q = A[i][s] // p
+                A[i] = [x - q * y for x, y in zip(A[i], A[s])]
+            for j in range(s + 1, n):
+                q = A[s][j] // p
+                for row in A:
+                    row[j] -= q * row[s]
+            if any(A[i][s] for i in range(s + 1, m)) or any(A[s][s + 1:]):
+                continue
+            bad = next((i for i in range(s + 1, m)
+                        if any(x % p for x in A[i][s + 1:])), None)
+            if bad is None:
+                break
+            A[s] = [x + y for x, y in zip(A[s], A[bad])]
+        out.append(A[s][s])
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def family_compression(m):
+    """6 + x - x^-1 + y - y^-1 + xy over (Z/m)^2, compressed over the group."""
+    terms = {}
+    for (a, b), v in (((0, 0), 6), ((1, 0), 1), ((-1, 0), -1), ((0, 1), 1),
+                      ((0, -1), -1), ((1, 1), 1)):
+        key = (a % m, b % m)
+        terms[key] = terms.get(key, 0) + v
+    desc = G.cyclic_product([m, m])
+    f = G.ring_element(desc, terms)
+    return tuple(map(tuple, G.compress(f, G.folner_window(desc, 1)).to_int_rows()))
+
+
+@functools.lru_cache(maxsize=None)
+def family_snf(m):
+    return G.snf(family_compression(m))
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_snf_matches_the_elimination_oracle_on_group_compressions(m):
+    M = family_compression(m)
+    res = _check_snf_contract(M, family_snf(m))
+    assert res.divisors == oracle_divisors(M)
+
+
+def test_snf_transforms_stay_bounded():
+    # pivoting alone let V reach 8468 bits here, where |det| has 384
+    res = family_snf(12)
+    bits = max(abs(x).bit_length() for X in (res.u, res.v, res.v_inverse)
+               for row in X for x in row)
+    assert bits <= 3000
+
+
+def _nonunit_matrix(rng, n, units):
+    """n x n, ``units`` rows of small entries and the rest multiples of 2, 3,
+    4 or 6, so that a block without +-1 is left once the units are used."""
+    rows = []
+    for i in range(n):
+        row = [rng.randint(-3, 3) for _ in range(n)]
+        if i >= units:
+            row = [x * rng.choice([2, 3, 4, 6]) for x in row]
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("min_block", [det._HERMITE_MIN_BLOCK, 1])
+def test_snf_matches_the_elimination_oracle_on_random_matrices(monkeypatch, min_block):
+    monkeypatch.setattr(det, "_HERMITE_MIN_BLOCK", min_block)
+    rng = random.Random(1200 + min_block)
+    done = 0
+    while done < 30:
+        n = rng.randint(1, 30) if min_block == 1 else rng.randint(12, 30)
+        M = _nonunit_matrix(rng, n, rng.randint(0, max(0, n - 12)))
+        if det_exact(M) == 0:
+            continue
+        assert _check_snf_contract(M).divisors == oracle_divisors(M)
+        done += 1
+
+
+@pytest.mark.parametrize("min_block", [det._HERMITE_MIN_BLOCK, 1])
+def test_snf_matches_the_elimination_oracle_on_singular_and_rectangular(monkeypatch, min_block):
+    monkeypatch.setattr(det, "_HERMITE_MIN_BLOCK", min_block)
+    rng = random.Random(1300 + min_block)
+    for _ in range(30):
+        m, n, r = rng.randint(1, 14), rng.randint(1, 14), rng.randint(0, 6)
+        if m == n:   # rank at most r < n
+            r = min(r, n - 1)
+        X = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+        Y = [[rng.randint(-3, 3) * rng.choice([1, 2, 6]) for _ in range(n)] for _ in range(r)]
+        M = [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] if r else [0] * n
+             for row in X]
+        assert _check_snf_contract(M).divisors == oracle_divisors(M)
+
+
+def hermite_cofactor(B, H):
+    """Y with Y H = B for lower-triangular H, or None if Y is not integral."""
+    k = len(H)
+    Y = []
+    for brow in B:
+        y = [0] * k
+        for b in range(k - 1, -1, -1):
+            y[b], rem = divmod(brow[b] - sum(y[a] * H[a][b] for a in range(b + 1, k)), H[b][b])
+            if rem:
+                return None
+        Y.append(y)
+    return Y
+
+
+def _check_hermite(B):
+    H = det._hermite_mod(B, abs(det_exact(B)))
+    for i, row in enumerate(H):
+        assert row[i] > 0 and not any(row[i + 1:])
+        assert all(0 <= row[j] < H[j][j] for j in range(i))
+    Y = hermite_cofactor(B, H)
+    assert Y is not None and abs(det_exact(Y)) == 1
+    return H
+
+
+def test_hermite_mod_against_its_definition():
+    rng = random.Random(2408)
+    done = 0
+    while done < 200:
+        n = rng.randint(1, 24)
+        B = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        for i in rng.sample(range(n), rng.randint(0, n)):
+            B[i] = [x * rng.choice([2, 3, 4, 6]) for x in B[i]]
+        if det_exact(B) == 0:
+            continue
+        _check_hermite(B)
+        done += 1
+
+
+def test_hermite_mod_reduces_found_rows_exactly(monkeypatch):
+    # Row 1 is found first (h_11 = 2, |det| 12 -> 6), then row 0 (h_00 = 6,
+    # 6 -> 1); reducing row 1 by row 0 modulo the shrunken determinant 1
+    # would zero h_10 = 3 and leave diag(6, 2), which spans another lattice:
+    # its Smith form would give divisors (2, 6) instead of (1, 12).
+    B = [[-3, 2], [-12, 4]]
+    assert _check_hermite(B) == [[6, 0], [3, 2]]
+    monkeypatch.setattr(det, "_HERMITE_MIN_BLOCK", 1)
+    assert _check_snf_contract(B).divisors == (1, 12)
 
 
 # ---------------------------------------------------------------------- finite sections

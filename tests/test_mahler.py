@@ -76,13 +76,13 @@ def test_mahler_roots_examples():
 
 
 def test_mahler_roots_rejects():
-    with pytest.raises(DomainError, match="^zero element has no Laurent normal form$"):
+    with pytest.raises(DomainError, match="^mahler_roots rejects the zero element$"):
         G.mahler_roots(G.zero_element(Z1))
-    with pytest.raises(DomainError, match="^univariate extraction needs d = 1$"):
+    with pytest.raises(DomainError, match="^mahler_roots needs d = 1$"):
         G.mahler_roots(zpoly({(0, 0): 1}, Z2))
-    with pytest.raises(DomainError, match="^univariate extraction needs d = 1$"):
+    with pytest.raises(DomainError, match="^mahler_roots needs d = 1$"):
         G.mahler_roots(G.zero_element(Z2))
-    with pytest.raises(DomainError, match="^Laurent view needs an integer-lattice element$"):
+    with pytest.raises(DomainError, match="^mahler_roots needs an integer-lattice element$"):
         G.mahler_roots(G.ring_element(G.cyclic_product([5]), {(0,): 2, (1,): 1}))
 
 
@@ -92,6 +92,21 @@ def test_mahler_roots_reads_laurent_coefficients():
     big = [abs(r) for r in np.roots([2, 0, 0, -1, 0, 5]) if abs(r) > 1.0]
     assert G.mahler_roots(f) == math.fsum([math.log(2)] + [math.log(r) for r in big])
     assert G.mahler_roots(zpoly({-3: Fraction(1, 2)})) == math.log(0.5)
+
+
+def test_mahler_roots_matches_grid_on_complex_symbols():
+    # 3 + i u vanishes at u = 3i, outside the circle: the measure is log 3
+    assert G.mahler_roots(zpoly({0: 3, 1: 1j})) == pytest.approx(math.log(3), abs=1e-12)
+    rng = random.Random(2026)
+    for _ in range(40):
+        terms = {k: complex(rng.randint(-2, 2), rng.randint(-2, 2))
+                 for k in rng.sample([-3, -2, -1, 1, 2, 3], rng.randint(1, 3))}
+        # a dominant constant term keeps every root off the circle
+        c = sum(abs(v) for v in terms.values()) + rng.randint(1, 3)
+        terms[0] = c * cmath.exp(2j * math.pi * rng.random())
+        f = zpoly(terms)
+        assert f.domain == "complex"
+        assert abs(G.mahler_roots(f) - G.mahler_grid(f, 256)) <= 1e-9
 
 
 def test_mahler_grid_examples():
