@@ -13,9 +13,9 @@ Four routes to log-determinant data live here:
                         two phases: unit pivots while the trailing block
                         holds a +-1, then (with transforms, on a large
                         nonsingular square block) the Hermite form modulo
-                        |det| and a Smith form of its non-unit core, which
-                        keeps the transforms near |det|'s size instead of
-                        letting pivoting grow them;
+                        |det| and a Smith form of its non-unit core, whose
+                        entries are bounded through |det| rather than by
+                        the pivot sequence;
   * fk_finite_sections / fk_poly_trace
                      -- the two approximation schemes for the
                         Fuglede-Kadison determinant of an invertible
@@ -258,14 +258,14 @@ def _eliminate(st: _SnfState, s: int, units_only: bool = False) -> int:
 
 
 def _xgcd(a: int, b: int):
-    """(g, u, v) with u a + v b = g = gcd(a, b) >= 0."""
+    """(g, u, v) with u a + v b = g = gcd(a, b), for a, b >= 0."""
     u0, v0, u1, v1 = 1, 0, 0, 1
     while b:
         q, r = divmod(a, b)
         a, b = b, r
         u0, u1 = u1, u0 - q * u1
         v0, v1 = v1, v0 - q * v1
-    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+    return a, u0, v0
 
 
 def _hermite_mod(B: list, delta: int) -> list:
@@ -418,12 +418,13 @@ def snf(M, transforms: bool = True) -> SnfResult:
     st = _SnfState(rows, transforms)
     hermite = transforms and st.m == st.n and st.n >= _HERMITE_MIN_BLOCK
     s = _eliminate(st, 0, units_only=hermite)
+    delta = 0
     if hermite and st.n - s >= _HERMITE_MIN_BLOCK:
         delta = abs(_bareiss([row[s:] for row in st.A[s:]]))
-        if delta:
-            _hermite_steps(st, s, delta)
-            s = st.n
-    _eliminate(st, s)
+    if delta:
+        _hermite_steps(st, s, delta)
+    else:
+        _eliminate(st, s)
     r = min(st.m, st.n)
     divisors = [st.A[i][i] for i in range(r)]
     # zeros (if any) already sit at the end: a zero pivot ends the loop
