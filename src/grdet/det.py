@@ -11,11 +11,11 @@ Four routes to log-determinant data live here:
   * snf              -- exact Smith normal form over arbitrary-precision
                         integers, with optional unimodular transforms, in
                         two phases: unit pivots while the trailing block
-                        holds a +-1, then (with transforms, on a large
-                        nonsingular square block) the Hermite form modulo
-                        |det| and a Smith form of its non-unit core, whose
-                        entries are bounded through |det| rather than by
-                        the pivot sequence;
+                        holds a +-1, then one pivoting loop on the rest,
+                        run on the Hermite basis modulo |det| of a large
+                        nonsingular square block, so that the transforms
+                        are bounded through |det| rather than by the pivot
+                        sequence;
   * fk_finite_sections / fk_poly_trace
                      -- the two approximation schemes for the
                         Fuglede-Kadison determinant of an invertible
@@ -97,9 +97,18 @@ def _bareiss(A: list) -> int:
     return sign * A[n - 1][n - 1]
 
 
+def _int_rows(M, op: str) -> list:
+    """M's entries as Python ints.  operator.index takes Python and numpy
+    ints but refuses floats and Fractions, which int() would truncate."""
+    try:
+        return [[operator.index(x) for x in row] for row in M]
+    except TypeError:
+        raise DomainError(f"{op} needs integer entries") from None
+
+
 def det_exact(M) -> int:
     """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    A = [[int(x) for x in row] for row in M]
+    A = _int_rows(M, "det_exact")
     n = len(A)
     if any(len(row) != n for row in A):
         raise DomainError("det_exact needs a square integer matrix")
@@ -110,13 +119,15 @@ def det_exact(M) -> int:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Elementary divisor chain d_1 | d_2 | ... | d_r, all >= 0.
+    """Elementary divisor chain d_1 | d_2 | ... | d_r, all >= 0, of an
+    m x n matrix M with r = min(m, n); rows is m.
 
     When transforms are kept, M = U . diag(divisors) . V with U, V
     unimodular; v_inverse is V^-1 (handy for enumerating dual solutions).
     """
 
     divisors: tuple
+    rows: int
     u: Optional[tuple] = None
     v: Optional[tuple] = None
     v_inverse: Optional[tuple] = None
@@ -124,7 +135,7 @@ class SnfResult:
 
 class _SnfState:
     def __init__(self, M, transforms: bool):
-        self.A = [[int(x) for x in row] for row in M]
+        self.A = _int_rows(M, "snf")
         self.m = len(self.A)
         self.n = len(self.A[0]) if self.m else 0
         self.transforms = transforms
@@ -328,87 +339,61 @@ def _matmul(X: list, Y: list) -> list:
 def _hermite_steps(st: _SnfState, s: int, delta: int):
     """Phase 2 on the nonsingular trailing block B = A[s:, s:], |det B| = delta.
 
-    With H = X B the Hermite basis modulo delta, the unit-diagonal indices
-    are unit columns of H, and their rows' off-diagonal part N lives in the
-    other columns, so N^2 = 0 and H = H'(I + N) with (I + N)^-1 = I - N, where
-    H' is the identity on the unit indices and the core C (the h x h block on
-    the others) elsewhere.  With C = U_c D_c V_c from _eliminate:
-
-        B = Y H' (I + N),  Y = X^-1 = B H^-1,
-        U_B = Y P' diag(I, U_c),  V_B = diag(I, V_c) P (I + N),
-
-    P ordering the unit indices first.  Y's unit columns are B's own, and
-    its core columns solve Y_c C = (B - B N)[:, core] by back substitution.
-    U, V and V^-1 change only in the block's columns or rows.
+    H = X B is the Hermite basis modulo delta (X unimodular, H lower
+    triangular with entries below delta), and _eliminate runs on all of H in
+    a state of its own: H = U_h D V_h.  So B = Y U_h D V_h with Y = X^-1 =
+    B H^-1, which one back substitution gives.  U, V and V^-1 change only
+    in the block's columns or rows; without transforms only A changes.
     """
-    k = st.m - s
     B = [row[s:] for row in st.A[s:]]
     H = _hermite_mod(B, delta)
-    unit = [i for i in range(k) if H[i][i] == 1]
-    core = [i for i in range(k) if H[i][i] != 1]
-    u, h = len(unit), len(core)
-    C = [[H[i][j] for j in core] for i in core]
-    core_st = _SnfState(C, True)
-    _eliminate(core_st, 0)
-
-    # Y_c = (B - B N)[:, core] C^-1, with C lower triangular
-    Y_c = []
+    block = _SnfState(H, st.transforms)
+    _eliminate(block, 0)
+    for row, new in zip(st.A[s:], block.A):
+        row[s:] = new
+    if not st.transforms:
+        return
+    k = len(H)
+    Y = []
     for brow in B:
-        z = [brow[j] - sum(brow[i] * H[i][j] for i in unit) for j in core]
-        y = [0] * h
-        for b in range(h - 1, -1, -1):
-            y[b] = (z[b] - sum(y[a] * C[a][b] for a in range(b + 1, h))) // C[b][b]
-        Y_c.append(y)
-    U_B = [[brow[i] for i in unit] + r for brow, r in zip(B, _matmul(Y_c, core_st.U))]
-    # V_B's unit rows are H's; its core rows are V_c spread over the core
-    V_B = [H[i] for i in unit]
-    for vrow in core_st.V:
-        row = [0] * k
-        for j, x in zip(core, vrow):
-            row[j] = x
-        V_B.append(row)
-    # V_B^-1 = (I - N) P' diag(I, W_c)
-    W_B = [[0] * k for _ in range(k)]
-    for t, i in enumerate(unit):
-        W_B[i][t] = 1
-    for j, wrow in zip(core, core_st.W):
-        W_B[j][u:] = wrow
-    for i in unit:
-        W_B[i][u:] = [-sum(H[i][j] * W_B[j][t] for j in core) for t in range(u, k)]
-
-    for row, new in zip(st.U, _matmul([row[s:] for row in st.U], U_B)):
+        y = [0] * k
+        for b in range(k - 1, -1, -1):
+            y[b] = (brow[b] - sum(y[a] * H[a][b] for a in range(b + 1, k))) // H[b][b]
+        Y.append(y)
+    for row, new in zip(st.U, _matmul([row[s:] for row in st.U], _matmul(Y, block.U))):
         row[s:] = new
-    st.V[s:] = _matmul(V_B, st.V[s:])
-    for row, new in zip(st.W, _matmul([row[s:] for row in st.W], W_B)):
+    st.V[s:] = _matmul(block.V, st.V[s:])
+    for row, new in zip(st.W, _matmul([row[s:] for row in st.W], block.W)):
         row[s:] = new
-    divisors = [1] * u + [core_st.A[a][a] for a in range(h)]
-    for t, row in enumerate(st.A[s:]):
-        row[s:] = [0] * k
-        row[s + t] = divisors[t]
 
 
-# Smaller trailing blocks keep the pivoting loop.  Timed on a 2-core x86-64
-# host, the Hermite phase took 2-5.6x the loop's time on every block below
-# 12 rows, among them the 4- to 8-row blocks of the finite workload's chain
-# compressions (0.2-0.8 ms against 0.1-0.2 ms).  From 12 rows it took 0.62x
-# on a block left after unit steps (the (Z/6)^2 compression of
-# 6 + x - x^-1 + y - y^-1 + xy) and 0.74-0.85x on dense random 14- to 20-row
-# blocks, but 1.4-1.7x (under 1 ms more) on unit-free circulants of 12-16
-# points, where pivoting stays cheap.
+# Smaller trailing blocks go to the pivoting loop as they are.  Timed on a
+# 2-core x86-64 host against that loop alone, with transforms / without, the
+# Hermite phase took 2.2-5.0x / 1.6-2.7x the loop's time (under 0.4 ms) on
+# the 2- to 8-row blocks of the finite workload's chain compressions, and
+# 1.6-3.0x / 1.6-2.2x (under 1.2 ms more) on unit-free circulants of 8 to 16
+# points, where pivoting stays cheap.  On dense random blocks of 8 to 16 rows
+# it took 0.85-1.6x / 1.3-1.6x.  It gains on blocks left after unit steps:
+# 0.44-0.66x / 0.72-0.77x on the 10- to 14-row blocks of the (Z/m)^2
+# compressions of 6 + x - x^-1 + y - y^-1 + xy at m = 5..7.  At 12, the chain
+# blocks stay below the threshold and the 16- to 24-row blocks of the
+# finite/snf-m x m inputs lie above it.
 _HERMITE_MIN_BLOCK = 12
 
 
 def snf(M, transforms: bool = True) -> SnfResult:
     """Smith normal form over the integers, in two phases.
 
-    Phase 1 clears unit pivots while the trailing block holds one.  Phase 2
-    finishes a nonsingular square block of at least _HERMITE_MIN_BLOCK rows,
-    when transforms are kept, through its Hermite form modulo |det|
-    (_hermite_steps); every other block (smaller, singular, rectangular, or
-    any block without transforms) goes through least-magnitude pivoting with
-    divisibility repair (_eliminate).  Pivoting alone lets the transforms
-    grow to thousands of bits where |det| has hundreds; in phase 2 the
-    Hermite entries stay below |det|.  All arithmetic is arbitrary precision.
+    Phase 1 clears unit pivots while the trailing block holds one; a unit
+    divides everything, so they need no divisibility repair.  A nonsingular
+    square block of at least _HERMITE_MIN_BLOCK rows left after them is
+    replaced by its Hermite basis modulo |det| (_hermite_steps), whose
+    entries stay below |det|; smaller, singular and rectangular blocks stay
+    as they are.  Either way the one elimination loop, _eliminate, finishes
+    the block: least-magnitude pivots with divisibility repair.  Pivoting on
+    the block itself lets the transforms grow to thousands of bits where
+    |det| has hundreds.  Both transform modes take the same phases.  All
+    arithmetic is arbitrary precision.
     """
     rows = [list(r) for r in M]
     if not rows or not rows[0]:
@@ -416,7 +401,7 @@ def snf(M, transforms: bool = True) -> SnfResult:
     if any(len(r) != len(rows[0]) for r in rows):
         raise DomainError("matrix rows must have equal length")
     st = _SnfState(rows, transforms)
-    hermite = transforms and st.m == st.n and st.n >= _HERMITE_MIN_BLOCK
+    hermite = st.m == st.n and st.n >= _HERMITE_MIN_BLOCK
     s = _eliminate(st, 0, units_only=hermite)
     delta = 0
     if hermite and st.n - s >= _HERMITE_MIN_BLOCK:
@@ -425,27 +410,21 @@ def snf(M, transforms: bool = True) -> SnfResult:
         _hermite_steps(st, s, delta)
     else:
         _eliminate(st, s)
-    r = min(st.m, st.n)
-    divisors = [st.A[i][i] for i in range(r)]
     # zeros (if any) already sit at the end: a zero pivot ends the loop
-    if st.transforms:
-        return SnfResult(
-            tuple(divisors),
-            u=tuple(tuple(row) for row in st.U),
-            v=tuple(tuple(row) for row in st.V),
-            v_inverse=tuple(tuple(row) for row in st.W),
-        )
-    return SnfResult(tuple(divisors))
+    divisors = tuple(st.A[i][i] for i in range(min(st.m, st.n)))
+    if not transforms:
+        return SnfResult(divisors, st.m)
+    U, V, W = (tuple(map(tuple, X)) for X in (st.U, st.V, st.W))
+    return SnfResult(divisors, st.m, u=U, v=V, v_inverse=W)
 
 
 def quotient_order(r: SnfResult):
-    """|Z^n / M Z^n| from the divisor chain: the product, or infinity."""
-    out = 1
-    for d in r.divisors:
-        if d == 0:
-            return math.inf
-        out *= d
-    return out
+    """|Z^m / M Z^n|, the order of the cokernel of an m x n matrix M: the
+    product of the divisors, or infinity when one of them is 0 or m exceeds
+    their count (a free part remains)."""
+    if r.rows > len(r.divisors) or 0 in r.divisors:
+        return math.inf
+    return math.prod(r.divisors)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ exactly |det M| elements, enumerated through the Smith normal form:
 with M = U D V, the solutions are h = V^-1 y over y_i in {0, 1/d_i, ...},
 one axis per factor d_i > 1, each verified exactly in modular arithmetic.
 Only those columns of V^-1 are read, modulo lcm(d), since snf's
-transforms leave 64 bits: it finishes large blocks through a Hermite form
+transforms leave 64 bits: it pivots large blocks on their Hermite basis
 modulo |det M|, and on the 144-point compression of 6 + x - x^-1 + y -
-y^-1 + xy over (Z/12)^2 its V^-1 reaches 2203 bits for a 384-bit |det M|
+y^-1 + xy over (Z/12)^2 its V^-1 reaches 2072 bits for a 384-bit |det M|
 (7144 by pivoting alone).  The solutions come in lexicographic order,
 whatever pivots the Smith form takes.
 entropy_finite_group compresses once and reads the Smith order from that

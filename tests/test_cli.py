@@ -129,6 +129,14 @@ def test_snf_cli(capsys, tmp_path):
     assert out.strip().split("\n")[1] == "1 6,6"
 
 
+def test_snf_cli_tall_matrix_has_an_infinite_quotient(capsys, tmp_path):
+    # Z^3 / M Z^2 = Z for the rows 1 0 / 0 1 / 0 0
+    m = tmp_path / "m.csv"
+    m.write_text("1 0\n0 1\n0 0\n")
+    code, out, _ = run(capsys, ["snf", "--matrix", str(m)])
+    assert (code, out.strip().split("\n")[1]) == (0, "1 1,inf")
+
+
 def test_entropy_finite_cli(capsys, tmp_path):
     p = tmp_path / "f3.gre"
     p.write_text(F3_GRE)

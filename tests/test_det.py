@@ -57,12 +57,29 @@ def test_snf_examples():
     assert G.snf([[2, 0], [0, 3]]).divisors == (1, 6)
     assert G.snf([[1, 0], [0, 1]]).divisors == (1, 1)
     assert G.snf([[2, 1], [0, 3]]).divisors == (1, 6)
+    M = np.array([[2, 1], [0, 3]], dtype=np.int64)   # numpy ints are read as ints
+    assert G.snf(M).divisors == (1, 6) and det_exact(M) == 6
 
 
 def test_quotient_order_examples():
     assert G.quotient_order(G.snf([[2, 0], [0, 3]])) == 6
     assert G.quotient_order(G.snf([[1, 0], [0, 1]])) == 1
     assert G.quotient_order(G.snf([[1, 0], [0, 0]])) is math.inf
+    # Z^3 / M Z^2 keeps a free summand Z: the cokernel is infinite
+    assert G.quotient_order(G.snf([[1, 0], [0, 1], [0, 0]])) is math.inf
+    # Z^2 / M Z^3 = Z/2
+    assert G.quotient_order(G.snf([[1, 0, 0], [0, 2, 4]])) == 2
+
+
+@pytest.mark.parametrize("entry", [1.5, 2.0, np.float64(3.0), Fraction(7, 2), Fraction(2)])
+def test_snf_and_det_exact_refuse_non_integer_entries(entry):
+    M = [[entry, 0], [0, 1]]
+    with pytest.raises(DomainError, match="snf"):
+        G.snf(M)
+    with pytest.raises(DomainError, match="snf"):
+        G.snf(M, transforms=False)
+    with pytest.raises(DomainError, match="det_exact"):
+        det_exact(M)
 
 
 def _check_snf_contract(M, res=None):
@@ -201,7 +218,7 @@ def family_snf(m):
 def test_snf_matches_the_elimination_oracle_on_group_compressions(m):
     M = family_compression(m)
     res = _check_snf_contract(M, family_snf(m))
-    assert res.divisors == oracle_divisors(M)
+    assert res.divisors == oracle_divisors(M) == G.snf(M, False).divisors
 
 
 def test_snf_transforms_stay_bounded():
@@ -235,7 +252,7 @@ def test_snf_matches_the_elimination_oracle_on_random_matrices(monkeypatch, min_
         M = _nonunit_matrix(rng, n, rng.randint(0, max(0, n - 12)))
         if det_exact(M) == 0:
             continue
-        assert _check_snf_contract(M).divisors == oracle_divisors(M)
+        assert _check_snf_contract(M).divisors == oracle_divisors(M) == G.snf(M, False).divisors
         done += 1
 
 
