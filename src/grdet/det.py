@@ -1,6 +1,6 @@
 """Determinant engines.
 
-Four routes to log-determinant data live here:
+Five routes to determinant data live here:
 
   * logabsdet        -- log|det| from factorization.factor (LAPACK
                         Cholesky or LU, or SuperLU for large sparse
@@ -8,6 +8,11 @@ Four routes to log-determinant data live here:
                         -inf when the smallest pivot is at most 16 n eps
                         times the largest, unless an exact-integer matrix
                         has a nonzero determinant modulo a prime;
+  * det_exact        -- the signed determinant of an integer matrix: sparse
+                        unit pivots that touch only nonzeros while a row
+                        holds a +-1, then fraction-free Bareiss on the
+                        trailing block; an elimination apart from snf's, so
+                        that it checks snf's order independently;
   * snf              -- exact Smith normal form over arbitrary-precision
                         integers, with optional unimodular transforms, in
                         two phases: unit pivots while the trailing block
@@ -15,7 +20,7 @@ Four routes to log-determinant data live here:
                         run on the Hermite basis modulo |det| of a large
                         nonsingular square block, so that the transforms
                         are bounded through |det| rather than by the pivot
-                        sequence;
+                        sequence; every update skips zero multiplicands;
   * fk_finite_sections / fk_poly_trace
                      -- the two approximation schemes for the
                         Fuglede-Kadison determinant of an invertible
@@ -106,15 +111,70 @@ def _int_rows(M, op: str) -> list:
         raise DomainError(f"{op} needs integer entries") from None
 
 
+def _permutation_sign(perm: list) -> int:
+    """Sign of the permutation i -> perm[i] of range(len(perm))."""
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            if j != i:
+                sign = -sign
+    return sign
+
+
 def det_exact(M) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of a square integer matrix, with its sign.
+
+    Sparse unit pivots first, on rows stored as {column: value}: while a live
+    row holds a +-1, the first such row pivots on its first unit column,
+    clears that column from the other live rows (touching their nonzeros
+    only), and its row and column are dropped.  Fraction-free Bareiss then
+    takes the trailing block, rows and columns in their original order.
+    Pivoting at (r_k, c_k) leaves the matrix block upper triangular once its
+    rows are ordered r_1, r_2, ..., rest and its columns c_1, c_2, ..., rest;
+    so det M is the two orderings' signs times the units times the block's
+    determinant.  Nothing is divided: every value is an exact int.  On the
+    (Z/m)^2 compressions of 6 + x - x^-1 + y - y^-1 + xy at m = 8, 10, 12 the
+    block has 16, 20 and 24 rows; pivoting in the sparsest row instead fills
+    in more and leaves 19, 26 and 32.
+    """
     A = _int_rows(M, "det_exact")
     n = len(A)
     if any(len(row) != n for row in A):
         raise DomainError("det_exact needs a square integer matrix")
-    if n == 0:
-        return 1
-    return _bareiss(A)
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(A)}
+    row_order, col_order = [], []
+    sign = 1
+    while True:
+        best = next((i for i, row in rows.items()
+                     if 1 in row.values() or -1 in row.values()), None)
+        if best is None:
+            break
+        prow = rows.pop(best)
+        c = min(j for j, x in prow.items() if x in (1, -1))
+        u = prow.pop(c)
+        sign *= u
+        row_order.append(best)
+        col_order.append(c)
+        for row in rows.values():
+            a = row.pop(c, 0)
+            if a:
+                q = a * u   # row -= (a / u) prow, and 1 / u = u
+                for j, x in prow.items():
+                    v = row.get(j, 0) - q * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+    rest = sorted(rows)
+    cols = sorted(set(range(n)).difference(col_order))
+    sign *= _permutation_sign(row_order + rest) * _permutation_sign(col_order + cols)
+    if not rest:
+        return sign
+    return sign * _bareiss([[rows[i].get(j, 0) for j in cols] for i in rest])
 
 
 @dataclass(frozen=True)
@@ -133,16 +193,28 @@ class SnfResult:
     v_inverse: Optional[tuple] = None
 
 
+def _axpy(X: list, i: int, j: int, q: int):
+    """X[i] += q X[j], skipping the zeros of X[j]."""
+    Xi = X[i]
+    for t, x in enumerate(X[j]):
+        if x:
+            Xi[t] += q * x
+
+
 class _SnfState:
+    """A = U^-1 M V^-1 under row and column operations.  U and V^-1 are kept
+    transposed (Ut, Wt), so that every update of A, U, V and V^-1 is a row
+    swap, a row negation or a row update that skips zero multiplicands."""
+
     def __init__(self, M, transforms: bool):
         self.A = _int_rows(M, "snf")
         self.m = len(self.A)
         self.n = len(self.A[0]) if self.m else 0
         self.transforms = transforms
         if transforms:
-            self.U = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
+            self.Ut = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
             self.V = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
-            self.W = [[int(i == j) for j in range(self.n)] for i in range(self.n)]  # V^-1
+            self.Wt = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
 
     # row ops on A are E.A; U absorbs E^-1 on the right so M = U A V holds
     def swap_rows(self, i, j):
@@ -150,27 +222,22 @@ class _SnfState:
             return
         self.A[i], self.A[j] = self.A[j], self.A[i]
         if self.transforms:
-            for row in self.U:
-                row[i], row[j] = row[j], row[i]
+            self.Ut[i], self.Ut[j] = self.Ut[j], self.Ut[i]
 
     def negate_row(self, i):
         self.A[i] = [-x for x in self.A[i]]
         if self.transforms:
-            for row in self.U:
-                row[i] = -row[i]
+            self.Ut[i] = [-x for x in self.Ut[i]]
 
     def addmul_row(self, i, j, q):
         # row_i += q * row_j
         if q == 0:
             return
-        Ai, Aj = self.A[i], self.A[j]
-        for t in range(self.n):
-            Ai[t] += q * Aj[t]
+        _axpy(self.A, i, j, q)
         if self.transforms:
-            for row in self.U:
-                row[j] -= q * row[i]
+            _axpy(self.Ut, j, i, -q)
 
-    # col ops on A are A.E; V absorbs E^-1 on the left, W = V^-1 absorbs E
+    # col ops on A are A.E; V absorbs E^-1 on the left, V^-1 absorbs E
     def swap_cols(self, i, j):
         if i == j:
             return
@@ -178,21 +245,19 @@ class _SnfState:
             row[i], row[j] = row[j], row[i]
         if self.transforms:
             self.V[i], self.V[j] = self.V[j], self.V[i]
-            for row in self.W:
-                row[i], row[j] = row[j], row[i]
+            self.Wt[i], self.Wt[j] = self.Wt[j], self.Wt[i]
 
-    def addmul_col(self, i, j, q):
-        # col_i += q * col_j
+    def addmul_col(self, i, j, q, rows):
+        # col_i += q * col_j, where col_j is zero outside ``rows``
         if q == 0:
             return
-        for row in self.A:
-            row[i] += q * row[j]
+        for r in rows:
+            Ar = self.A[r]
+            if Ar[j]:
+                Ar[i] += q * Ar[j]
         if self.transforms:
-            Vj, Vi = self.V[j], self.V[i]
-            for t in range(self.n):
-                Vj[t] -= q * Vi[t]
-            for row in self.W:
-                row[i] += q * row[j]
+            _axpy(self.V, j, i, -q)
+            _axpy(self.Wt, i, j, q)
 
 
 def _snf_pivot(st: _SnfState, s: int):
@@ -226,10 +291,12 @@ def _snf_clear(st: _SnfState, s: int, best):
                 st.addmul_row(i, s, -(v // p))
                 if st.A[i][s]:
                     dirty = True
+        # rows above s are cleared; below it, column s is zero unless dirty
+        rows = range(s, st.m) if dirty else (s,)
         for j in range(s + 1, st.n):
             v = st.A[s][j]
             if v:
-                st.addmul_col(j, s, -(v // p))
+                st.addmul_col(j, s, -(v // p), rows)
                 if st.A[s][j]:
                     dirty = True
         if not dirty:
@@ -360,24 +427,25 @@ def _hermite_steps(st: _SnfState, s: int, delta: int):
         for b in range(k - 1, -1, -1):
             y[b] = (brow[b] - sum(y[a] * H[a][b] for a in range(b + 1, k))) // H[b][b]
         Y.append(y)
-    for row, new in zip(st.U, _matmul([row[s:] for row in st.U], _matmul(Y, block.U))):
-        row[s:] = new
+    # U[:, s:] Y U_h, V_h V[s:] and V^-1[:, s:] V_h^-1, on the transposes
+    st.Ut[s:] = _matmul(_matmul(block.Ut, list(zip(*Y))), st.Ut[s:])
     st.V[s:] = _matmul(block.V, st.V[s:])
-    for row, new in zip(st.W, _matmul([row[s:] for row in st.W], block.W)):
-        row[s:] = new
+    st.Wt[s:] = _matmul(block.Wt, st.Wt[s:])
 
 
 # Smaller trailing blocks go to the pivoting loop as they are.  Timed on a
-# 2-core x86-64 host against that loop alone, with transforms / without, the
-# Hermite phase took 2.2-5.0x / 1.6-2.7x the loop's time (under 0.4 ms) on
-# the 2- to 8-row blocks of the finite workload's chain compressions, and
-# 1.6-3.0x / 1.6-2.2x (under 1.2 ms more) on unit-free circulants of 8 to 16
-# points, where pivoting stays cheap.  On dense random blocks of 8 to 16 rows
-# it took 0.85-1.6x / 1.3-1.6x.  It gains on blocks left after unit steps:
-# 0.44-0.66x / 0.72-0.77x on the 10- to 14-row blocks of the (Z/m)^2
-# compressions of 6 + x - x^-1 + y - y^-1 + xy at m = 5..7.  At 12, the chain
-# blocks stay below the threshold and the 16- to 24-row blocks of the
-# finite/snf-m x m inputs lie above it.
+# 2-core x86-64 host against that loop alone (minimum of 7 calls), with
+# transforms / without, the Hermite phase took 1.7-4.8x / 1.6-2.7x the loop's
+# time (under 0.5 ms more) on the 1- to 8-row blocks of the finite workload's
+# chain compressions (seed 5), and 1.6-4.6x / 1.6-2.5x (under 1.7 ms more) on
+# unit-free circulants of 8 to 16 points, where pivoting stays cheap.  On
+# dense random unit-free blocks of 8 to 16 rows it took 0.74-1.7x / 1.3-2.1x,
+# and it still does not gain on them at 20 rows.  It gains on blocks left
+# after unit steps: 0.37-0.64x / 0.62-0.92x on the 10- to 14-row blocks of the
+# (Z/m)^2 compressions of 6 + x - x^-1 + y - y^-1 + xy at m = 5..7, and
+# 0.13-0.41x / 0.42-0.65x on the 16- to 24-row blocks of the finite/snf-m x m
+# inputs.  At 12, the chain blocks stay below the threshold and the snf-m x m
+# blocks lie above it.
 _HERMITE_MIN_BLOCK = 12
 
 
@@ -385,15 +453,16 @@ def snf(M, transforms: bool = True) -> SnfResult:
     """Smith normal form over the integers, in two phases.
 
     Phase 1 clears unit pivots while the trailing block holds one; a unit
-    divides everything, so they need no divisibility repair.  A nonsingular
-    square block of at least _HERMITE_MIN_BLOCK rows left after them is
-    replaced by its Hermite basis modulo |det| (_hermite_steps), whose
-    entries stay below |det|; smaller, singular and rectangular blocks stay
-    as they are.  Either way the one elimination loop, _eliminate, finishes
-    the block: least-magnitude pivots with divisibility repair.  Pivoting on
-    the block itself lets the transforms grow to thousands of bits where
-    |det| has hundreds.  Both transform modes take the same phases.  All
-    arithmetic is arbitrary precision.
+    divides everything, so they need no divisibility repair, and with the
+    pivot's column clear a column operation changes only the pivot row of A.
+    A nonsingular square block of at least _HERMITE_MIN_BLOCK rows left after
+    them is replaced by its Hermite basis modulo |det| (_hermite_steps),
+    whose entries stay below |det|; smaller, singular and rectangular blocks
+    stay as they are.  Either way the one elimination loop, _eliminate,
+    finishes the block: least-magnitude pivots with divisibility repair.
+    Pivoting on the block itself lets the transforms grow to thousands of
+    bits where |det| has hundreds.  Both transform modes take the same
+    phases.  All arithmetic is arbitrary precision.
     """
     rows = [list(r) for r in M]
     if not rows or not rows[0]:
@@ -414,8 +483,8 @@ def snf(M, transforms: bool = True) -> SnfResult:
     divisors = tuple(st.A[i][i] for i in range(min(st.m, st.n)))
     if not transforms:
         return SnfResult(divisors, st.m)
-    U, V, W = (tuple(map(tuple, X)) for X in (st.U, st.V, st.W))
-    return SnfResult(divisors, st.m, u=U, v=V, v_inverse=W)
+    return SnfResult(divisors, st.m, u=tuple(zip(*st.Ut)), v=tuple(map(tuple, st.V)),
+                     v_inverse=tuple(zip(*st.Wt)))
 
 
 def quotient_order(r: SnfResult):

@@ -15,8 +15,9 @@ y^-1 + xy over (Z/12)^2 its V^-1 reaches 2072 bits for a 384-bit |det M|
 (7144 by pivoting alone).  The solutions come in lexicographic order,
 whatever pivots the Smith form takes.
 entropy_finite_group compresses once and reads the Smith order from that
-dual's own Smith form; Bareiss's |det M| on the whole of M is its
-independent check.
+dual's own Smith form; det_exact's |det M| is its independent check, by
+an elimination of its own: sparse unit pivots, then fraction-free Bareiss
+on the block they leave.
 
 Separated and spanning counts (the l^p Bowen entropy at finite scale)
 never leave the integers: a dual's solutions are int64 numerators over one

@@ -470,3 +470,29 @@ def test_automatic_certificate_uses_grid_n(capsys, tmp_path, command):
         code, out, err = run(capsys, argv + ["--grid-n", "2"] + certify)
         assert (code, out) == (3, "")
         assert err == "not certifiable: grid minimum minus Lipschitz slack is not positive\n"
+
+
+# 6 + x - x^-1 + y - y^-1 + xy over (Z/12)^2: |det| has 384 bits
+FAMILY12_GRE = "group Zmod:12x12\n6 0 0\n1 1 0\n-1 11 0\n1 0 1\n-1 0 11\n1 1 1\n"
+FAMILY12_ORDER = ("389701243145408451071190769815446192491204228683561687566156227608722741"
+                  "25869501636458755247911750049949603628515625")
+FAMILY12_DIVISORS = " ".join(
+    ["1"] * 129 + ["7", "7", "7", "21", "21", "273", "273", "1365", "50505", "50505", "50505",
+                   "1286343713655", "9004405995585", "1784429325882940361569859379465",
+                   "951100830695607212716735049254845"])
+
+
+def test_finite_subcommands_keep_their_bytes_on_a_large_determinant(capsys, tmp_path):
+    import grdet as G
+    p, m = tmp_path / "f.gre", tmp_path / "m.csv"
+    p.write_text(FAMILY12_GRE)
+    f = G.parse_gre(FAMILY12_GRE)
+    M = G.compress(f, G.folner_window(f.descriptor, 1)).to_int_rows()
+    m.write_text("".join(",".join(map(str, row)) + "\n" for row in M))
+    code, out, err = run(capsys, ["entropy-finite", "--f", str(p)])
+    assert (code, err) == (0, "")
+    assert out == ("group_order,quotient_order,abs_det,solution_count,entropy\n"
+                   f"144,{FAMILY12_ORDER},{FAMILY12_ORDER},skipped,1.84831594382\n")
+    code, out, err = run(capsys, ["snf", "--matrix", str(m)])
+    assert (code, err) == (0, "")
+    assert out == f"divisors,order\n{FAMILY12_DIVISORS},{FAMILY12_ORDER}\n"

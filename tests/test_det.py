@@ -82,6 +82,128 @@ def test_snf_and_det_exact_refuse_non_integer_entries(entry):
         det_exact(M)
 
 
+# ---------------------------------------------------------------------- det_exact
+
+# The whole-matrix fraction-free Bareiss elimination det_exact ran before its
+# sparse unit-pivot phase, kept as an independent oracle for the signed
+# determinant.
+def oracle_det(M):
+    A = [[int(x) for x in row] for row in M]
+    n = len(A)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+def _symbol_compression(rng, moduli):
+    """The compression of a random integer symbol over the whole cyclic product."""
+    desc = G.cyclic_product(moduli)
+    terms = {tuple(0 for _ in moduli): rng.randint(-8, 8)}
+    for _ in range(rng.randint(1, 5)):
+        g = tuple(rng.randrange(m) for m in moduli)
+        terms[g] = terms.get(g, 0) + rng.choice([-2, -1, 1, 1, 2, 3])
+    return G.compress(G.ring_element(desc, terms), G.folner_window(desc, 1)).to_int_rows()
+
+
+@pytest.mark.parametrize("m", range(5, 13))
+def test_det_exact_matches_the_oracle_on_group_compressions(m):
+    rng = random.Random(5100 + m)
+    cases = [family_compression(m), _symbol_compression(rng, [m]),
+             _symbol_compression(rng, [2, m]), _symbol_compression(rng, [m, m])]
+    for M in cases:
+        assert det_exact(M) == oracle_det(M)
+
+
+@pytest.mark.parametrize("entries", [range(-9, 10), (0, 2, -2, 3, -3)], ids=["dense", "unit-free"])
+def test_det_exact_matches_the_oracle_on_random_matrices(entries):
+    rng = random.Random(5200)
+    signs = set()
+    for _ in range(80):
+        n = rng.randint(1, 16)
+        M = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        d = det_exact(M)
+        assert d == oracle_det(M)
+        signs.add((d > 0) - (d < 0))
+    assert signs >= {-1, 1}
+
+
+def test_det_exact_is_zero_on_singular_matrices():
+    rng = random.Random(5400)
+    for _ in range(40):
+        n = rng.randint(2, 14)
+        M = [[rng.choice([0, 1, -1, 2, -3]) for _ in range(n)] for _ in range(n)]
+        repeated = [list(r) for r in M]
+        i, j = rng.sample(range(n), 2)
+        repeated[i] = list(repeated[j])
+        zero_col = [list(r) for r in M]
+        c = rng.randrange(n)
+        for row in zero_col:
+            row[c] = 0
+        r = rng.randint(0, n - 1)   # rank at most r < n
+        X = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        Y = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] if r else [0] * n
+                   for row in X]
+        for S in (repeated, zero_col, product):
+            assert det_exact(S) == oracle_det(S) == 0
+
+
+def test_det_exact_of_signed_permutation_matrices():
+    rng = random.Random(5500)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        perm = rng.sample(range(n), n)
+        signs = [rng.choice([1, -1]) for _ in range(n)]
+        M = [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        expected = (-1) ** inversions * math.prod(signs)
+        assert det_exact(M) == oracle_det(M) == expected
+
+
+def test_det_exact_small_and_numpy_matrices():
+    assert det_exact([]) == oracle_det([]) == 1
+    assert det_exact(np.zeros((0, 0), dtype=np.int64)) == 1
+    for x in (-7, -1, 0, 1, 2):
+        assert det_exact([[x]]) == x
+        assert det_exact(np.array([[x]], dtype=np.int64)) == x
+    rng = random.Random(5600)
+    for _ in range(20):
+        n = rng.randint(1, 10)
+        M = np.array([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        assert det_exact(M) == oracle_det(M.tolist())
+    M = np.array(family_compression(6), dtype=np.int64)
+    assert det_exact(M) == oracle_det(family_compression(6))
+
+
+def test_det_exact_signs_under_negation_and_row_swaps():
+    rng = random.Random(5700)
+    cases = [family_compression(m) for m in (5, 6, 7)]
+    cases += [[[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+              for n in rng.choices(range(2, 15), k=30)]
+    for M in cases:
+        n = len(M)
+        d = det_exact(M)
+        assert det_exact([[-x for x in row] for row in M]) == (-1) ** n * d
+        i, j = rng.sample(range(n), 2)
+        swapped = [list(r) for r in M]
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        assert det_exact(swapped) == -d
+
+
 def _check_snf_contract(M, res=None):
     res = G.snf(M) if res is None else res
     d = res.divisors
@@ -307,6 +429,44 @@ def test_hermite_mod_against_its_definition():
             continue
         _check_hermite(B)
         done += 1
+
+
+def test_snf_takes_both_column_paths(monkeypatch):
+    # after a non-unit pivot's row operations its column is either clear below
+    # it (column operations change the pivot row only) or dirty (they walk
+    # every row from the pivot's on)
+    walks = []
+    addmul_col = det._SnfState.addmul_col
+
+    def spy(self, i, j, q, rows):
+        walks.append(len(rows) > 1)
+        return addmul_col(self, i, j, q, rows)
+
+    monkeypatch.setattr(det._SnfState, "addmul_col", spy)
+    dirty = [[[2, 3], [3, 5]],                         # pivot 2 leaves 1 below it
+             [[2, 3, 5], [3, 5, 7]],                   # wide
+             [[2, 3], [3, 5], [4, 7]],                 # tall
+             [[2, 3, 5], [3, 5, 8], [5, 8, 13]]]       # singular: row 2 = row 0 + row 1
+    clean = [[[2, 3], [4, 7]],                         # pivot 2 clears its column
+             [[2, 3, 5], [4, 7, 9]],
+             [[2, 3], [4, 7], [6, 9]],
+             [[2, 3], [4, 6]]]                         # singular
+    for cases, full in ((dirty, True), (clean, False)):
+        for M in cases:
+            walks.clear()
+            _check_snf_contract(M)
+            assert (full in walks) and (full or not any(walks)), M
+    rng = random.Random(1400)
+    seen = set()
+    for _ in range(60):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        M = [[rng.choice([0, 2, -2, 3, -3, 4, 5, 6]) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:   # a repeated row makes it singular
+            M.append(list(M[0]))
+        walks.clear()
+        assert _check_snf_contract(M).divisors == oracle_divisors(M)
+        seen.update(walks)
+    assert seen == {True, False}
 
 
 def test_hermite_mod_reduces_found_rows_exactly(monkeypatch):
