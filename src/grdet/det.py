@@ -34,7 +34,8 @@ Five routes to determinant data live here:
                      -- low-rank rational perturbations of compressions
                         with norm-controlled transfer blocks, which keep
                         the same normalized limit; tile interiors and
-                        placements come from groups.window_translates.
+                        placements come from groups.window_translates, and
+                        each tile's exact kernel from snf's V^-1.
 
 fk_finite_sections and perturbation_study share one table loop, _section_rows.
 Both perturbation routes replace columns of f_F through one helper,
@@ -761,10 +762,8 @@ def fk_poly_trace(f: RingElement, interval, degree: int):
     when it encloses it); then a warning is issued and the bound is inf.
     """
     a, b = interval
-    if not (a > 0):
-        raise DomainError("interval must satisfy 0 < a <= b")
-    if not (a <= b):
-        raise DomainError("interval must satisfy 0 < a <= b")
+    if not (0 < a <= b < math.inf):
+        raise DomainError("interval must satisfy 0 < a <= b < inf")
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
         raise DomainError("degree must be a positive integer")
     if a == b:
@@ -829,50 +828,21 @@ class PerturbedCompression:
         return np.array([[float(x) for x in row] for row in self.matrix], dtype=np.float64)
 
 
-def _rational_nullspace(At: list) -> list:
-    """Exact basis of the right null space of an integer matrix At.
-
-    Returns a list of Fraction column vectors (lists).  Plain fraction
-    Gauss-Jordan; the matrices here are tile-sized.
-    """
-    m = len(At)
-    n = len(At[0])
-    A = [[Fraction(x) for x in row] for row in At]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                q = A[i][c]
-                A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fcol in free:
-        v = [Fraction(0)] * n
-        v[fcol] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -A[i][fcol]
-        basis.append(v)
-    return basis
-
-
-def _round_fraction(x: float, log2_den: int) -> Fraction:
-    den = 1 << log2_den
-    return Fraction(round(x * den), den)
+def _pairwise_reduced(basis: list) -> list:
+    """basis after b_j -= round(<b_j, b_i> / <b_i, b_i>) b_i over all pairs
+    until every multiplier is 0: an exact unimodular change of basis that
+    pulls nearly parallel vectors apart.  Each step shortens b_j (round()
+    takes a tie at 1/2 to 0), so the loop ends."""
+    B, changed = [list(v) for v in basis], True
+    while changed:
+        changed = False
+        for i, bi in enumerate(B):
+            ii = sum(x * x for x in bi)
+            for j, bj in enumerate(B):
+                q = round(Fraction(sum(map(operator.mul, bj, bi)), ii)) if j != i else 0
+                if q:
+                    B[j], changed = [x - q * y for x, y in zip(bj, bi)], True
+    return B
 
 
 def _near_orthonormal_rational_basis(null_basis: list):
@@ -883,12 +853,14 @@ def _near_orthonormal_rational_basis(null_basis: list):
     from the least-squares coordinates of a numerical orthonormal basis.
     """
     n = len(null_basis[0])
-    # rescale exact basis columns by powers of two for numerical sanity
+    # rescale exact basis columns by powers of two for numerical sanity;
+    # Fraction scales keep integer columns exact
     scaled = []
     for v in null_basis:
         nrm = math.sqrt(math.fsum(float(x) * float(x) for x in v))
         shift = int(round(math.log2(nrm))) if nrm > 0 else 0
-        scaled.append([x / (1 << shift) if shift >= 0 else x * (1 << -shift) for x in v])
+        scale = Fraction(2) ** -shift
+        scaled.append([x * scale for x in v])
     B = np.array([[float(x) for x in v] for v in scaled]).T  # n x r
     Q, _ = np.linalg.qr(B)
     # only the rounding of these coordinates depends on the denominator
@@ -898,7 +870,7 @@ def _near_orthonormal_rational_basis(null_basis: list):
         for c in coords:
             exact = [Fraction(0)] * n
             for cj, col in zip(c, scaled):
-                cj_r = _round_fraction(cj, log2_den)
+                cj_r = Fraction(round(cj * (1 << log2_den)), 1 << log2_den)
                 if cj_r:
                     exact = [e + cj_r * x for e, x in zip(exact, col)]
             vectors.append(exact)
@@ -906,6 +878,11 @@ def _near_orthonormal_rational_basis(null_basis: list):
         svals = np.linalg.svd(Vf, compute_uv=False)
         if svals.size and svals[0] <= 2.0 and svals[-1] >= 0.5:
             return vectors, float(svals[0]), float(1.0 / svals[-1])
+    # nearly parallel columns, as Smith transforms give once the pivots leave
+    # the units, lose part of their span in floats: pull them apart exactly
+    reduced = _pairwise_reduced(null_basis)
+    if reduced != [list(v) for v in null_basis]:
+        return _near_orthonormal_rational_basis(reduced)
     raise RuntimeError("could not round the orthonormal null basis within norm bounds")
 
 
@@ -938,6 +915,9 @@ def build_perturbed_compression(
     the complement columns carry a rational near-orthonormal basis of the
     orthogonal complement of f C[W'] in C[W], with transfer norms and
     inverse norms at most 2; uncovered window points carry the identity.
+    That complement is the kernel of f's interior columns read as rows,
+    exact from their Smith form (V^-1's columns past the rank), and the
+    basis is rounded from it without leaving it.
     The perturbation S - f_F is supported on at most |F \\ F'| columns and
     M * (those columns) is integral for the reported denominator M.
     """
@@ -977,9 +957,12 @@ def build_perturbed_compression(
         inner = np.flatnonzero(interiors[t_idx]).tolist()
         comp = np.flatnonzero(~interiors[t_idx])
         if len(comp):
-            # columns of f over the interior, rows over the tile
+            # f's interior columns read as rows, At = U D V: the columns of
+            # V^-1 past the nonzero divisors are an integer kernel basis
             fW = compress(f, W).to_int_rows()
-            null_basis = _rational_nullspace([[row[j] for row in fW] for j in inner])
+            res = snf([[row[j] for row in fW] for j in inner])
+            rank = sum(1 for d in res.divisors if d)
+            null_basis = list(zip(*res.v_inverse))[rank:]
             if len(null_basis) != len(comp):
                 raise DomainError(
                     f"tile {t_idx}: f is rank-deficient on the tile interior; "

@@ -452,6 +452,8 @@ def _extremal_relation(S, F, p, eps) -> list[int]:
         D = math.lcm(*(x.denominator for row in rows for x in row))
         H = np.array([[x.numerator * (D // x.denominator) for x in row] for row in rows],
                      dtype=object).reshape(count, len(rows[0]))
+    if not abs(eps) < math.inf:
+        raise DomainError("eps must be finite")
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
@@ -534,6 +536,8 @@ def count_lattice_ball(k: int, R) -> int:
     """Exact number of integer vectors in dimension k with l2 norm <= R."""
     if not (isinstance(k, int) and 1 <= k <= BALL_DIM_LIMIT):
         raise ScaleExceeded(f"dimension must be an integer in [1, {BALL_DIM_LIMIT}]")
+    if not abs(R) < math.inf:
+        raise DomainError("radius must be finite")
     R = Fraction(R)
     if R < 0:
         raise DomainError("radius must be nonnegative")

@@ -20,6 +20,7 @@ are built only when a caller asks for them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,7 +54,7 @@ class GroupDescriptor:
 
     def __post_init__(self):
         if self.family == LATTICE:
-            (d,) = self.params
+            d = self.params[0] if len(self.params) == 1 else None
             if not (isinstance(d, int) and d >= 1):
                 raise DomainError("lattice rank must be a positive integer")
         elif self.family == CYCLIC:
@@ -85,6 +86,13 @@ class GroupDescriptor:
         return descriptor_string(self)
 
 
+def _as_int(x, what: str) -> int:
+    """x as a Python int; bools, floats and the like raise, never truncate."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise DomainError(f"{what} must be an integer")
+    return int(x)
+
+
 def integer_lattice(d: int) -> GroupDescriptor:
     return GroupDescriptor(LATTICE, (d,))
 
@@ -94,7 +102,7 @@ def heisenberg3() -> GroupDescriptor:
 
 
 def cyclic_product(moduli: Iterable[int]) -> GroupDescriptor:
-    return GroupDescriptor(CYCLIC, tuple(int(m) for m in moduli))
+    return GroupDescriptor(CYCLIC, tuple(_as_int(m, "every cyclic modulus") for m in moduli))
 
 
 def free_group_rank2() -> GroupDescriptor:
@@ -580,6 +588,7 @@ def folner_window(desc: GroupDescriptor, n: int) -> FolnerWindow:
     """
     if not desc.is_amenable:
         raise UnsupportedFamily("free group admits no Folner windows")
+    n = _as_int(n, "window stage")
     if n < 1:
         raise DomainError("window stage must be >= 1")
     if desc.family == LATTICE:

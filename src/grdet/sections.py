@@ -168,7 +168,7 @@ def _certify_torus_min(f: RingElement, grid_n: int) -> InvertibilityCertificate:
         return _not_certifiable("torus-min", "torus-min applies to integer lattices only")
     if not f:
         return _not_certifiable("torus-min", "zero element")
-    N = int(grid_n)
+    N = groups._as_int(grid_n, "grid size")
     if N < 2:
         raise DomainError("grid size must be >= 2")
     grid_min = float(np.min(np.abs(_torus_values(f, N))))

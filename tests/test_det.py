@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 import random
 import warnings
 from fractions import Fraction
@@ -565,6 +566,13 @@ def test_poly_trace_rejects_bad_interval():
         G.fk_poly_trace(F3, (0, 25), 10)
     with pytest.raises(DomainError):
         G.fk_poly_trace(F3, (9, 4), 10)
+    # non-finite ends, one for each path: the a == b shortcut, the complex
+    # walk and the exact walk
+    complex_f = G.ring_element(Z1, {(0,): 3 + 0j, (1,): 1j})
+    for f, interval in ((F3, (math.inf, math.inf)), (complex_f, (1, math.inf)),
+                        (F3, (1, math.inf)), (F3, (math.nan, 25)), (F3, (1, math.nan))):
+        with pytest.raises(DomainError, match="0 < a <= b < inf"):
+            G.fk_poly_trace(f, interval, 10)
 
 
 @pytest.mark.parametrize("degree", [0, -1, True, 2.5])
@@ -689,6 +697,120 @@ def test_build_perturbed_compression_randomized_z2():
     # integer test vectors map to integer images under M * transfer columns
     S = pc.to_float()
     assert math.isfinite(G.logabsdet(S))
+
+
+def oracle_nullspace(At):
+    """Basis of the right null space of the integer matrix At by Fraction
+    Gauss-Jordan: one vector per free column, 1 there and 0 at the others."""
+    m, n = len(At), len(At[0])
+    A = [[Fraction(x) for x in row] for row in At]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        A[r] = [x / A[r][c] for x in A[r]]
+        for i in range(m):
+            if i != r and A[i][c] != 0:
+                q = A[i][c]
+                A[i] = [x - q * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        if len(pivots) == m:
+            break
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -A[i][free]
+        basis.append(v)
+    return basis
+
+
+def smith_kernel(At):
+    """V^-1's columns past the nonzero divisors of At = U D V."""
+    res = G.snf(At)
+    return list(zip(*res.v_inverse))[sum(1 for d in res.divisors if d):]
+
+
+def tile_restriction(f, W):
+    """f's columns over the interior {g : K_f g inside W}, read as rows."""
+    _, kernel = G.l1_norm_and_kernel(f)
+    inner = np.flatnonzero(det._interior(W, [k.coords for k in kernel])).tolist()
+    fW = G.compress(f, W).to_int_rows()
+    return [[row[j] for row in fW] for j in inner]
+
+
+def _kernel_inputs():
+    rng = random.Random(17)
+    for _ in range(6):
+        terms = {o: rng.choice((-2, -1, 1, 2)) for o in rng.sample([-2, -1, 1, 2], 3)}
+        f = zpoly({0: rng.choice((-1, 1)) * rng.randint(2, 7), **terms})
+        yield tile_restriction(f, G.folner_window(Z1, rng.randint(3, 8)))
+    cross = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1)]
+    for n in (1, 2, 2):
+        terms = {o: rng.choice((-2, -1, 1, 2)) for o in rng.sample(cross, 3)}
+        f = G.ring_element(Z2, {(0, 0): rng.randint(2, 7), **terms})
+        yield tile_restriction(f, G.folner_window(Z2, n))
+    for m, n in ((3, 7), (5, 9), (6, 8), (8, 13)):
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        yield A
+        # rank-deficient: a combination of two rows, and a zero row
+        yield A[:-2] + [[x + 2 * y for x, y in zip(A[0], A[1])], [0] * n]
+
+
+@pytest.mark.parametrize("At", list(_kernel_inputs()))
+def test_smith_kernel_spans_the_gauss_jordan_kernel(At):
+    oracle, kernel = oracle_nullspace(At), smith_kernel(At)
+    assert len(kernel) == len(oracle)
+    for v in kernel:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in At)
+    # each oracle vector has a 1 where the others vanish; the coordinates
+    # there write any vector of the span in the oracle basis
+    at = [next(c for c in range(len(At[0]))
+               if all(w[c] == (w is o) for w in oracle)) for o in oracle]
+    for v in kernel:
+        assert list(v) == [sum(v[c] * o[j] for c, o in zip(at, oracle))
+                           for j in range(len(v))]
+
+
+@pytest.mark.parametrize("sign, denominator", [(1, 8589934592), (-1, 34359738368)])
+def test_build_perturbed_compression_keeps_the_benchmark_values(sign, denominator):
+    # 3 + x +- x^-1 on the window and tile the benchmark's finite workload builds
+    f = zpoly({0: 3, 1: 1, -1: sign})
+    pc = G.build_perturbed_compression(f, G.folner_window(Z1, 50), [G.folner_window(Z1, 5)], 0.8)
+    assert (pc.rank_defect, pc.denominator) == (20, denominator)
+
+
+def test_nearly_parallel_smith_kernels_are_reduced_before_rounding():
+    # off the units, the Smith transforms leave a kernel basis that floats
+    # hold only in part; its pairwise reduction is well conditioned
+    f = zpoly({0: -5, 2: 1, -2: 2, -1: 1, 1: 1})
+    tile = G.folner_window(Z1, 24)
+    At = tile_restriction(f, tile)
+    kernel = [list(v) for v in smith_kernel(At)]
+    reduced = det._pairwise_reduced(kernel)
+
+    def cond(vs):
+        B = np.array(vs, dtype=float).T
+        return np.linalg.cond(B / np.linalg.norm(B, axis=0))
+
+    assert cond(kernel) > 1e15 and cond(reduced) < 1e3
+    gram = lambda vs: [[sum(map(operator.mul, u, v)) for v in vs] for u in vs]
+    assert det_exact(gram(reduced)) == det_exact(gram(kernel))
+    for i, u in enumerate(reduced):
+        for j, v in enumerate(reduced):
+            if i != j:
+                assert 2 * abs(sum(map(operator.mul, u, v))) <= sum(x * x for x in u)
+    vectors, nrm, inv_nrm = det._near_orthonormal_rational_basis(kernel)
+    assert nrm <= 2 and inv_nrm <= 2
+    for v in vectors:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in At)
+    pc = G.build_perturbed_compression(f, G.folner_window(Z1, 60), [tile], 1.2)
+    assert all(t.norm <= 2 and t.inverse_norm <= 2 for t in pc.transfers)
+    assert all((x * pc.denominator).denominator == 1 for row in pc.matrix for x in row)
 
 
 # ---------------------------------------------------------------------- perturbation study

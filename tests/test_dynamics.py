@@ -684,6 +684,18 @@ def test_count_lattice_ball_rejects_negative_radius():
         G.count_lattice_ball(1, Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_eps_and_radius_raise_domain_errors(value):
+    dual = G.solve_dual_finite(cyc_elem(C3, {0: 2, 1: 1}), C3)
+    for mode in ("separated", "spanning"):
+        with pytest.raises(DomainError, match="^eps must be finite$"):
+            G.extremal_count(dual, dual.window, math.inf, value, mode)
+    with pytest.raises(DomainError, match="^eps must be finite$"):
+        separated_count_with_greedy(dual.vectors(), dual.window, 2, value)
+    with pytest.raises(DomainError, match="^radius must be finite$"):
+        G.count_lattice_ball(2, value)
+
+
 # ---------------------------------------------------------------------- quasitiling
 
 def interval_window(a, b):

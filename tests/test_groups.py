@@ -150,6 +150,20 @@ def test_window_validation():
         G.FolnerWindow(Z1, [G.GroupElement(C5, (1,))])
 
 
+def test_integer_parameters_are_checked_not_truncated():
+    for desc, n in ((Z1, 2.5), (H3, 1.5), (Z1, True), (C5, 1.0), (Z2, "2")):
+        with pytest.raises(DomainError, match="window stage must be an integer"):
+            G.folner_window(desc, n)
+    assert G.folner_window(Z1, np.int64(2)) == G.folner_window(Z1, 2)
+    assert type(G.folner_window(H3, np.int64(1)).n) is int
+    with pytest.raises(DomainError, match="cyclic modulus must be an integer"):
+        G.cyclic_product([6.9, 3])
+    assert G.cyclic_product([np.int64(6), 3]) == G.cyclic_product([6, 3])
+    for params in ((1, 2), (), (1.0,), (0,)):
+        with pytest.raises(DomainError, match="lattice rank"):
+            G.GroupDescriptor("lattice", params)
+
+
 def test_cyclic_coordinates_of_the_wrong_length_are_refused():
     C23 = G.cyclic_product([2, 3])
     for desc, c in ((C5, (1, 2, 3)), (C5, ()), (C23, (1,)), (C23, (1, 2, 0))):

@@ -99,6 +99,15 @@ def test_certify_torus_min():
     assert not cert2.certified and cert2.reason
 
 
+def test_certify_torus_min_checks_its_grid_size():
+    f = zpoly({0: 3, 1: 1, -1: 1})
+    for grid_n in (3.7, 16.0, True, "16"):
+        with pytest.raises(DomainError, match="grid size must be an integer"):
+            G.certify_invertible(f, "torus-min", grid_n=grid_n)
+    assert (G.certify_invertible(f, "torus-min", grid_n=np.int64(16))
+            == G.certify_invertible(f, "torus-min", grid_n=16))
+
+
 def test_certify_torus_min_monotone_in_grid():
     f = zpoly({0: 3, 1: 1, -1: 1})
     bounds = [G.certify_invertible(f, "torus-min", grid_n=N).sigma_lower for N in (16, 32, 64, 128)]

@@ -101,7 +101,10 @@ def oracle_perturbed_compression(f, F, tiles, epsilon):
                 for k, v in f.terms.items():
                     tgt = groups.GroupElement(f.descriptor, mul(k.coords, g.coords))
                     A[W.index[tgt]][j] = int(v)
-            null_basis = det._rational_nullspace([list(col) for col in zip(*A)])
+            # the kernel of A's transpose: V^-1's columns past the Smith rank
+            res = det.snf([list(col) for col in zip(*A)])
+            rank = sum(1 for d in res.divisors if d)
+            null_basis = list(zip(*res.v_inverse))[rank:]
             if len(null_basis) != len(comp):
                 raise DomainError(
                     f"tile {t_idx}: f is rank-deficient on the tile interior; "
