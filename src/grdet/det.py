@@ -764,7 +764,8 @@ def fk_poly_trace(f: RingElement, interval, degree: int):
     a, b = interval
     if not (0 < a <= b < math.inf):
         raise DomainError("interval must satisfy 0 < a <= b < inf")
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+    degree = groups._as_int(degree, "degree")
+    if degree < 1:
         raise DomainError("degree must be a positive integer")
     if a == b:
         return 0.5 * math.log(a), 0.0
@@ -893,13 +894,17 @@ def _interior(W: FolnerWindow, kernel_coords) -> np.ndarray:
 
 def _replace_columns(M: CompressionMatrix, rows, cols, vals) -> CompressionMatrix:
     """M with every column named in ``cols`` replaced by the triples (rows,
-    cols, vals), which follow M's other triples; those keep their order."""
+    cols, vals), which follow M's other triples; those keep their order.
+    The new values are appended to M's coefficients, one per triple."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     cleared = np.zeros(M.n, dtype=bool)
     cleared[cols] = True
-    keep = np.flatnonzero(~cleared[M.cols])
-    take = lambda xs, extra: np.asarray(xs, dtype=object)[keep].tolist() + list(extra)
-    return CompressionMatrix(M.window, take(M.rows, rows), take(M.cols, cols),
-                             take(M.vals, vals), M.domain)
+    keep = ~cleared[M.cols]
+    term = len(M.coeffs) + np.arange(len(vals), dtype=np.int64)
+    return CompressionMatrix(M.window, np.concatenate([M.rows[keep], rows]),
+                             np.concatenate([M.cols[keep], cols]),
+                             np.concatenate([M.term[keep], term]),
+                             M.coeffs + tuple(vals), M.domain)
 
 
 def build_perturbed_compression(
@@ -984,12 +989,13 @@ def build_perturbed_compression(
         tile_rows, tile_cols, values, pos, _ = shape_data[t_idx]
         translate = pos[:, F.index[center]]
         covered[translate] = True
-        rows += translate[tile_rows].tolist()
-        cols += translate[tile_cols].tolist()
+        rows.append(translate[tile_rows])
+        cols.append(translate[tile_cols])
         vals += values
-    uncovered = np.flatnonzero(~covered).tolist()
+    uncovered = np.flatnonzero(~covered)
     base = compress(ring.ring_element(f.descriptor, f.terms, ring.RATIONAL), F)
-    S = _replace_columns(base, rows + uncovered, cols + uncovered,
+    S = _replace_columns(base, np.concatenate(rows + [uncovered]),
+                         np.concatenate(cols + [uncovered]),
                          vals + [Fraction(1)] * len(uncovered))
 
     diff = S.to_float() - base.to_float()

@@ -534,7 +534,8 @@ def entropy_finite_group(
 
 def count_lattice_ball(k: int, R) -> int:
     """Exact number of integer vectors in dimension k with l2 norm <= R."""
-    if not (isinstance(k, int) and 1 <= k <= BALL_DIM_LIMIT):
+    k = groups._as_int(k, "dimension")
+    if not 1 <= k <= BALL_DIM_LIMIT:
         raise ScaleExceeded(f"dimension must be an integer in [1, {BALL_DIM_LIMIT}]")
     if not abs(R) < math.inf:
         raise DomainError("radius must be finite")

@@ -6,12 +6,12 @@ and is the only code that picks how it is eliminated:
   * dense arrays, and compressions with n <= 512 or density >= 1/4, go to
     LAPACK: Cholesky (potrf) for Hermitian positive-definite input,
     partial-pivoting LU (getrf) otherwise;
-  * scipy sparse matrices, and every other compression, go to SuperLU with
-    equilibration off, since its row and column scaling would change the
-    determinant.  A symmetric sparsity pattern -- for a compression, exactly
-    when the symbol's support is closed under inverse -- is ordered by
-    minimum degree on A^T + A, with diagonal pivots preferred down to a
-    threshold of 0.1; any other pattern keeps COLAMD.
+  * scipy sparse matrices, and every other compression (as its to_csc
+    view), go to SuperLU with equilibration off, since its row and column
+    scaling would change the determinant.  A symmetric sparsity pattern --
+    for a compression, exactly when the symbol's support is closed under
+    inverse -- is ordered by minimum degree on A^T + A, with diagonal pivots
+    preferred down to a threshold of 0.1; any other pattern keeps COLAMD.
 
 Logs of pivot magnitudes are summed, so window sizes in the thousands cannot
 overflow.  Singularity is decided relative to the matrix: a factorization
@@ -20,7 +20,9 @@ singular.  For exact-integer input that flag is then settled exactly where
 it can be: a structural-rank deficit proves the matrix singular, and a
 nonzero determinant modulo one of a few primes below 2^31 proves it
 nonsingular (tried up to n = 512, on a factorization with no zero pivot).
-Whatever stays flagged reports log|det| = -inf.
+Whatever stays flagged reports log|det| = -inf.  A compression's exact
+triples are read only then: its index arrays give the pattern, and the
+residues modulo p are one gather of its coefficients' residues.
 """
 
 from __future__ import annotations
@@ -132,21 +134,28 @@ def factor(M) -> Factorization:
         exact = None
         if A.dtype.kind in "iu":
             coo = A.tocoo()
-            keep = coo.data != 0
-            exact = (coo.row[keep], coo.col[keep], coo.data[keep].tolist())
+            exact = _exact_triples(coo.row, coo.col, coo.data)
         return _superlu(A.astype(_float_dtype(A), copy=False), exact)
-    if hasattr(M, "to_csr"):  # a CompressionMatrix (sections imports this module)
-        exact = (M.rows, M.cols, M.vals) if M.domain == ring.INT else None
+    if hasattr(M, "to_csc"):  # a CompressionMatrix (sections imports this module)
+        exact = (M.rows, M.cols, M.coeffs, M.term) if M.domain == ring.INT else None
         if M.n > _DENSE_MAX_N and M.density < SPARSE_DENSITY_CUTOFF:
-            return _superlu(M.to_csr().tocsc(), exact)
+            return _superlu(M.to_csc(), exact)
         return _lapack(M.to_float(), exact)
     A = np.asarray(M)
     _require_square(A.shape)
     exact = None
     if A.dtype.kind in "iu":
         rows, cols = np.nonzero(A)
-        exact = (rows, cols, A[rows, cols].tolist())
+        exact = _exact_triples(rows, cols, A[rows, cols])
     return _lapack(A.astype(_float_dtype(A)), exact)
+
+
+def _exact_triples(rows, cols, vals):
+    """The nonzero entries of an integer array in a compression's layout:
+    (rows, cols, coeffs, term) with vals[k] == coeffs[term[k]]."""
+    keep = vals != 0
+    coeffs, term = np.unique(vals[keep], return_inverse=True)
+    return rows[keep], cols[keep], coeffs, term.reshape(-1)
 
 
 def _require_square(shape):
@@ -209,19 +218,18 @@ def _superlu(A: sp.csc_matrix, exact) -> Factorization:
 # ---------------------------------------------------------------------------
 # exact decisions for integer matrices
 
-def _settle_exactly(n: int, rows, cols, vals, try_modular: bool) -> Optional[str]:
-    """Settle a numerical singularity flag on the integer matrix given by its
-    nonzero triples: "structural-rank" proves it singular, "det-mod-p"
-    proves it nonsingular, None leaves it flagged.
+def _settle_exactly(n: int, rows, cols, coeffs, term, try_modular: bool) -> Optional[str]:
+    """Settle a numerical singularity flag on the integer matrix whose nonzero
+    entry (rows[k], cols[k]) is coeffs[term[k]]: "structural-rank" proves it
+    singular, "det-mod-p" proves it nonsingular, None leaves it flagged.
     """
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     pattern = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     if sp.csgraph.structural_rank(pattern) < n:
         return "structural-rank"
     if not try_modular or n > _DENSE_MAX_N:
         return None
     for p in ring._crt_primes(_PROOF_PRIMES):
-        residues = np.array([v % p for v in vals], dtype=np.int64)
+        residues = np.array([int(c) % p for c in coeffs], dtype=np.int64)[term]
         if _det_nonzero_mod(n, rows, cols, residues, p):
             return "det-mod-p"
     return None

@@ -3,8 +3,11 @@ certificates and smallest singular values.
 
 The compression of f to a window F is the |F| x |F| matrix with entry
 (row g', col g) = f_{g' g^-1}: the matrix of "multiply by f on the left,
-then restrict to F" in the basis F.  Entries stay in the element's exact
-scalar domain; float views are materialized on demand.
+then restrict to F" in the basis F.  It is held as int64 index arrays
+into the tuple of f's exact coefficients, taken straight from
+groups.window_translates; the dense and sparse float views are one gather
+each, materialized on demand, and exact entries are built only for the
+integer views and for factorization's exact singularity proofs.
 
 _torus_values evaluates a lattice symbol on the torus grid for both the
 torus-min certificate and mahler.mahler_grid.
@@ -31,21 +34,26 @@ from .ring import RingElement
 
 
 class CompressionMatrix:
-    """Compression f_F stored as exact COO triples.
+    """Compression f_F stored as COO triples over int64 arrays.
 
-    Dense and sparse float views are built on demand;
-    factorization.factor decides which one it eliminates.
+    Triple k is the entry (rows[k], cols[k]) with value coeffs[term[k]]:
+    coeffs is the tuple of f's exact coefficients in sorted_terms order,
+    extended by whatever values a perturbation puts in.  Every float view is
+    one gather of coeffs through term; exact per-entry values are built only
+    by to_exact_rows.  factorization.factor decides whether it eliminates the
+    dense view (to_float) or the sparse one (to_csc).
     """
 
-    __slots__ = ("window", "n", "domain", "rows", "cols", "vals", "_float_cache")
+    __slots__ = ("window", "n", "domain", "rows", "cols", "term", "coeffs", "_float_cache")
 
-    def __init__(self, window: FolnerWindow, rows, cols, vals, domain: str):
+    def __init__(self, window: FolnerWindow, rows, cols, term, coeffs: tuple, domain: str):
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "n", len(window))
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vals", vals)
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_float_cache", None)
 
     def __setattr__(self, *_):
@@ -53,7 +61,7 @@ class CompressionMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self.vals)
+        return len(self.term)
 
     @property
     def density(self) -> float:
@@ -62,8 +70,9 @@ class CompressionMatrix:
     def to_exact_rows(self):
         zero = ring._coerce(0, self.domain)
         M = [[zero] * self.n for _ in range(self.n)]
-        for r, c, v in zip(self.rows, self.cols, self.vals):
-            M[r][c] = v
+        coeffs = self.coeffs
+        for r, c, t in zip(self.rows.tolist(), self.cols.tolist(), self.term.tolist()):
+            M[r][c] = coeffs[t]
         return M
 
     def to_int_rows(self):
@@ -71,22 +80,27 @@ class CompressionMatrix:
             raise DomainError("integer view requires the exact-integer domain")
         return self.to_exact_rows()
 
-    def _float_vals(self) -> np.ndarray:
+    def _float_vals(self, term) -> np.ndarray:
         dtype = np.complex128 if self.domain == ring.COMPLEX else np.float64
-        return np.array(self.vals, dtype=dtype)
+        return np.array(self.coeffs, dtype=dtype)[term]
 
     def to_float(self) -> np.ndarray:
         cached = self._float_cache
         if cached is not None:
             return cached
-        vals = self._float_vals()
+        vals = self._float_vals(self.term)
         M = np.zeros((self.n, self.n), dtype=vals.dtype)
         M[self.rows, self.cols] = vals
         object.__setattr__(self, "_float_cache", M)
         return M
 
-    def to_csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self._float_vals(), (self.rows, self.cols)), shape=(self.n, self.n))
+    def to_csc(self) -> sp.csc_matrix:
+        """The sparse float view in canonical form: rows ascending in each column."""
+        order = np.lexsort((self.rows, self.cols))
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.cols, minlength=self.n), out=indptr[1:])
+        return sp.csc_matrix((self._float_vals(self.term[order]), self.rows[order], indptr),
+                             shape=(self.n, self.n))
 
 
 def compress(f: RingElement, F: FolnerWindow) -> CompressionMatrix:
@@ -98,12 +112,10 @@ def compress(f: RingElement, F: FolnerWindow) -> CompressionMatrix:
     if f.descriptor != F.descriptor:
         raise DescriptorMismatch("element and window over different groups")
     terms = f.sorted_terms()
-    values = [v for _, v in terms]
     pos = groups.window_translates(F, [g.coords for g, _ in terms]).T
     hit = pos >= 0
-    cols, term_index = np.nonzero(hit)
-    vals = [values[t] for t in term_index.tolist()]
-    return CompressionMatrix(F, pos[hit].tolist(), cols.tolist(), vals, f.domain)
+    cols, term = np.nonzero(hit)
+    return CompressionMatrix(F, pos[hit], cols, term, tuple(v for _, v in terms), f.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +283,21 @@ def sigma_min_estimate(M) -> float:
         if isinstance(M, CompressionMatrix):
             M = M.to_float()
         return float(sla.svdvals(M.toarray() if sp.issparse(M) else M)[-1])
-    inverse_gram = sp.linalg.LinearOperator(
-        (n, n), dtype=fac.dtype, matvec=lambda v: fac.solve(fac.solve(v, trans="H")))
-    v0 = np.random.default_rng(0).standard_normal(n).astype(fac.dtype)
+    solve = fac._factors.solve
+    if fac.dtype == np.complex128:
+        # the real symmetric form [[Re B, -Im B], [Im B, Re B]] of the
+        # Hermitian B = (M^H M)^-1 has B's eigenvalues, each twice, and keeps
+        # ARPACK on symmetric Lanczos rather than complex Arnoldi
+        def matvec(v):
+            w = solve(solve(v[:n] + 1j * v[n:], trans="H"))
+            return np.concatenate([w.real, w.imag])
+        size = 2 * n
+    else:
+        def matvec(v):
+            return solve(solve(v, trans="H"))
+        size = n
+    inverse_gram = sp.linalg.LinearOperator((size, size), dtype=np.float64, matvec=matvec)
+    v0 = np.random.default_rng(0).standard_normal(size)
     (mu,) = sp.linalg.eigsh(inverse_gram, k=1, ncv=_LANCZOS_NCV, v0=v0,
                             return_eigenvectors=False)
     return 1.0 / math.sqrt(float(mu))

@@ -48,7 +48,7 @@ def test_logabsdet_dense_sparse_agree():
     # the same tridiagonal through LAPACK and through SuperLU
     M = G.compress(F3, window_range(600))
     dense = G.logabsdet(M.to_float())
-    sparse = G.logabsdet(M.to_csr())
+    sparse = G.logabsdet(M.to_csc())
     assert sparse == pytest.approx(dense, rel=1e-12)
 
 
@@ -575,10 +575,14 @@ def test_poly_trace_rejects_bad_interval():
             G.fk_poly_trace(f, interval, 10)
 
 
-@pytest.mark.parametrize("degree", [0, -1, True, 2.5])
+@pytest.mark.parametrize("degree", [0, -1, True, 2.5, np.float64(10)])
 def test_poly_trace_rejects_bad_degree(degree):
     with pytest.raises(DomainError):
         G.fk_poly_trace(F3, (1, 16), degree)
+
+
+def test_poly_trace_takes_numpy_degrees():
+    assert G.fk_poly_trace(F3, (1, 25), np.int64(10)) == G.fk_poly_trace(F3, (1, 25), 10)
 
 
 def test_poly_trace_non_self_adjoint_path():

@@ -676,6 +676,13 @@ def test_count_lattice_ball_guards():
         G.count_lattice_ball(2, 50)
 
 
+def test_count_lattice_ball_checks_its_dimension():
+    assert G.count_lattice_ball(np.int64(2), 2) == G.count_lattice_ball(2, 2) == 13
+    for k in (True, 2.0, "2"):
+        with pytest.raises(DomainError, match="dimension must be an integer"):
+            G.count_lattice_ball(k, 2)
+
+
 def test_count_lattice_ball_rejects_negative_radius():
     # the radius is squared: -3 must not count the radius-3 ball
     with pytest.raises(DomainError, match="nonnegative"):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import grdet as G
-from grdet import factorization
+from grdet import det, factorization, ring
 from grdet.errors import DomainError
 
 Z1 = G.integer_lattice(1)
@@ -82,7 +82,7 @@ def test_h3_logabsdet_matches_dense_lu(h3_compressions, kind, n):
 def test_h3_minimum_degree_fill(h3_compressions):
     M = h3_compressions["sa", 4]
     fac = G.factor(M)
-    colamd = spla.splu(M.to_csr().tocsc(), permc_spec="COLAMD", options=dict(Equil=False))
+    colamd = spla.splu(M.to_csc(), permc_spec="COLAMD", options=dict(Equil=False))
     assert fac.nnz_lu <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
 
 
@@ -185,6 +185,30 @@ def test_shift_sections_settle_by_structural_rank(monkeypatch, n):
     values = [G.perturbation_study(u, [F], 0.02, seed=seed, assume_invertible=True).values()[0]
               for seed in range(4)]
     assert set(values) <= {-math.inf, 0.0}
+
+
+def test_integer_compressions_settle_by_residues_of_their_coefficients():
+    # f = 1 + 10^17 u has det f_F = 1, but its pivots lie 10^170 apart; the
+    # residues come from the coefficients, a perturbation's appended ones too
+    f = z1({0: 1, 1: 10 ** 17})
+    M = G.compress(f, G.folner_window(Z1, 5))
+    _, kernel = ring.l1_norm_and_kernel(f)
+    P = det._unit_columns(M, kernel, 0.1, 0)
+    assert len(P.coeffs) == len(M.coeffs) + 1
+    for A in (M, P):
+        fac = G.factor(A)
+        assert fac.pivot_ratio < 1e-100
+        assert (fac.singular, fac.proof) == (False, "det-mod-p")
+        assert fac.logabsdet == G.factor(np.array(A.to_int_rows())).logabsdet
+    # singular with full structural rank, so no residue may prove them
+    # nonsingular: 2 + 3u - 5u^2 over Z/7 vanishes at u = 1, and
+    # (1 - u + u^2)(3 + u) over Z/30 at the primitive sixth roots of unity.
+    # Equal or rotated coefficients would give nonsingular matrices.
+    for m, coeffs in ((7, (2, 3, -5)), (30, (3, -2, 2, 1))):
+        C = G.cyclic_product([m])
+        g = G.ring_element(C, {(k,): v for k, v in enumerate(coeffs)})
+        fac = G.factor(G.compress(g, G.folner_window(C, m)))
+        assert fac.pivot_ratio > 0.0 and (fac.singular, fac.proof) == (True, None)
 
 
 def test_integer_sparse_input_settles_like_dense():

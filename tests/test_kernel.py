@@ -9,6 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import grdet as G
@@ -226,8 +227,24 @@ def test_compress_triples_match_loop(f, small, monkeypatch):
     monkeypatch.setattr(groups, "_SMALL_TRANSLATES", small)
     for F in WINDOWS[f.descriptor]:
         M = G.compress(f, F)
-        assert (M.rows, M.cols, M.vals) == oracle_compress(f, F)
-        assert all(type(x) is int for x in M.rows + M.cols)
+        assert all(a.dtype == np.int64 for a in (M.rows, M.cols, M.term))
+        assert M.coeffs == tuple(v for _, v in f.sorted_terms())
+        vals = [M.coeffs[t] for t in M.term.tolist()]
+        assert (M.rows.tolist(), M.cols.tolist(), vals) == oracle_compress(f, F)
+
+
+@pytest.mark.parametrize("f", [e[1] for e in EXACT] + COMPLEX,
+                         ids=[e[0] for e in EXACT] + ["z1-cplx", "h3-cplx", "f2-cplx"])
+def test_sparse_view_is_canonical_and_matches_loop(f):
+    # every family: cyclic wraparound, the free group and the non-box windows
+    for F in WINDOWS[f.descriptor]:
+        A = G.compress(f, F).to_csc()
+        assert A.has_canonical_format and A.shape == (len(F), len(F))
+        dtype = np.complex128 if f.domain == ring.COMPLEX else np.float64
+        want = np.zeros((len(F), len(F)), dtype=dtype)
+        rows, cols, vals = oracle_compress(f, F)
+        want[rows, cols] = np.array(vals, dtype=dtype)
+        assert A.dtype == dtype and np.array_equal(A.toarray(), want)
 
 
 def test_key_index_finds_rows_and_misses_the_rest():

@@ -65,12 +65,12 @@ def test_compress_sparsity_flag():
     assert big.nnz <= len(f) * 64
 
 
-def test_compress_exact_rows_match_csr():
+def test_compress_exact_rows_match_csc():
     f = zpoly({0: 3, 1: 1, -1: 1})
     M = G.compress(f, window_range(3))
-    csr = M.to_csr()
+    csc = M.to_csc()
     import numpy as np
-    assert np.array_equal(csr.toarray(), np.array(M.to_int_rows(), dtype=float))
+    assert np.array_equal(csc.toarray(), np.array(M.to_int_rows(), dtype=float))
 
 
 def test_operator_norm_bounded_by_l1():
@@ -166,10 +166,14 @@ def test_sigma_min_matches_svd():
     # to the all-ones vector, so an iteration started there misses it
     n = 256
     A = 4 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
-    # an 801-point Z^1 compression, factored by SuperLU
+    # an 801-point Z^1 compression and a complex 601-point one, both factored
+    # by SuperLU; the complex one runs Lanczos on the real form of its inverse Gram
     M = G.compress(zpoly({0: 3, 1: 1, -2: 1}), window_range(801))
-    assert G.factor(M).backend == "superlu"
-    for X, dense in ((A, A), (A.astype(np.complex128), A), (M, M.to_float())):
+    C = G.compress(zpoly({0: 3 + 0j, 1: 1j, -2: 0.5 + 0.5j}), window_range(601))
+    assert G.factor(M).backend == G.factor(C).backend == "superlu"
+    assert G.factor(C).dtype == np.complex128
+    for X, dense in ((A, A), (A.astype(np.complex128), A), (M, M.to_float()),
+                     (C, C.to_float())):
         exact = np.linalg.svd(dense, compute_uv=False).min()
         assert G.sigma_min_estimate(X) == pytest.approx(exact, rel=1e-12, abs=0)
 
