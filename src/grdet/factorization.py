@@ -3,10 +3,10 @@
 factor(M) takes a CompressionMatrix, a dense array or a scipy sparse matrix
 and is the only code that picks how it is eliminated:
 
-  * dense arrays, and compressions with n <= 512 or density >= 1/4, go to
-    LAPACK: Cholesky (potrf) for Hermitian positive-definite input,
+  * dense arrays, and compressions with n <= 512 (as their to_float view),
+    go to LAPACK: Cholesky (potrf) for Hermitian positive-definite input,
     partial-pivoting LU (getrf) otherwise;
-  * scipy sparse matrices, and every other compression (as its to_csc
+  * scipy sparse matrices, and compressions with n > 512 (as their to_csc
     view), go to SuperLU with equilibration off, since its row and column
     scaling would change the determinant.  A symmetric sparsity pattern --
     for a compression, exactly when the symbol's support is closed under
@@ -40,7 +40,6 @@ import scipy.sparse as sp
 from .errors import DomainError
 from . import ring
 
-SPARSE_DENSITY_CUTOFF = 0.25
 _DENSE_MAX_N = 512
 # Eliminating a singular matrix leaves a last pivot of about n eps times the
 # largest: random integer matrices of rank n - 1 (n = 20..200) reached 0.92 n
@@ -138,7 +137,7 @@ def factor(M) -> Factorization:
         return _superlu(A.astype(_float_dtype(A), copy=False), exact)
     if hasattr(M, "to_csc"):  # a CompressionMatrix (sections imports this module)
         exact = (M.rows, M.cols, M.coeffs, M.term) if M.domain == ring.INT else None
-        if M.n > _DENSE_MAX_N and M.density < SPARSE_DENSITY_CUTOFF:
+        if M.n > _DENSE_MAX_N:
             return _superlu(M.to_csc(), exact)
         return _lapack(M.to_float(), exact)
     A = np.asarray(M)

@@ -54,9 +54,10 @@ class GroupDescriptor:
 
     def __post_init__(self):
         if self.family == LATTICE:
-            d = self.params[0] if len(self.params) == 1 else None
-            if not (isinstance(d, int) and d >= 1):
+            d = _as_int(self.params[0], "lattice rank") if len(self.params) == 1 else 0
+            if d < 1:
                 raise DomainError("lattice rank must be a positive integer")
+            object.__setattr__(self, "params", (d,))
         elif self.family == CYCLIC:
             if not self.params or any(not (isinstance(m, int) and m >= 2) for m in self.params):
                 raise DomainError("every cyclic modulus must be an integer >= 2")
@@ -229,6 +230,8 @@ class GroupElement:
 
     def __setattr__(self, *_):
         raise AttributeError("GroupElement is immutable")
+
+    __delattr__ = __setattr__
 
     def __hash__(self):
         return self._hash
@@ -551,6 +554,8 @@ class FolnerWindow:
 
     def __setattr__(self, *_):
         raise AttributeError("FolnerWindow is immutable")
+
+    __delattr__ = __setattr__
 
     def __len__(self):
         return len(self.coords) if "coords" in vars(self) else len(self.rows)

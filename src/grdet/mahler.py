@@ -72,7 +72,8 @@ def mahler_grid(f: RingElement, N: int) -> float:
         raise DomainError("mahler_grid needs an integer-lattice element")
     if not f:
         raise DomainError("mahler_grid rejects the zero element")
-    if not (isinstance(N, int) and N >= 2):
+    N = groups._as_int(N, "grid size")
+    if N < 2:
         raise DomainError("grid size must be an integer >= 2")
     values = np.abs(_torus_values(_canonical_adjoint_rep(f), N)).ravel()
     kept = values[values >= ZERO_SYMBOL_FLOOR]
@@ -95,7 +96,8 @@ def circulant_logdet(f: RingElement, N: int) -> float:
     """
     if f.descriptor.family != groups.LATTICE:
         raise DomainError("circulant_logdet needs an integer-lattice element")
-    if not (isinstance(N, int) and N >= 2):
+    N = groups._as_int(N, "modulus")
+    if N < 2:
         raise DomainError("modulus must be an integer >= 2")
     d = f.descriptor.params[0]
     # the quotient's coordinates reduce mod N; colliding terms add up

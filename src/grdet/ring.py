@@ -14,6 +14,7 @@ can never be contaminated silently.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DescriptorMismatch, DomainError, FormatError
@@ -104,26 +105,13 @@ def _crt_primes(count: int) -> tuple:
 # ---------------------------------------------------------------------------
 # ring elements
 
+@dataclass(frozen=True, slots=True)
 class RingElement:
     """A finitely supported map group -> scalars, with no stored zeros."""
 
-    __slots__ = ("descriptor", "terms", "domain")
-
-    def __init__(self, descriptor: GroupDescriptor, terms: dict, domain: str):
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "domain", domain)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RingElement is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElement)
-            and self.descriptor == other.descriptor
-            and self.domain == other.domain
-            and self.terms == other.terms
-        )
+    descriptor: GroupDescriptor
+    terms: dict
+    domain: str
 
     def __hash__(self):
         return hash((self.descriptor, self.domain, frozenset(self.terms.items())))
@@ -300,7 +288,8 @@ def trace_identity(f: RingElement):
 
 
 def power(f: RingElement, k: int) -> RingElement:
-    if not isinstance(k, int) or k < 0:
+    k = groups._as_int(k, "exponent")
+    if k < 0:
         raise DomainError("exponent must be a nonnegative integer")
     acc = identity_element(f.descriptor, f.domain)
     for _ in range(k):

@@ -5,9 +5,10 @@ The compression of f to a window F is the |F| x |F| matrix with entry
 (row g', col g) = f_{g' g^-1}: the matrix of "multiply by f on the left,
 then restrict to F" in the basis F.  It is held as int64 index arrays
 into the tuple of f's exact coefficients, taken straight from
-groups.window_translates; the dense and sparse float views are one gather
-each, materialized on demand, and exact entries are built only for the
-integer views and for factorization's exact singularity proofs.
+groups.window_translates.  The dense and sparse float views are one gather
+each, built fresh on every call and never cached; exact entries are built
+only for the integer views and for factorization's exact singularity
+proofs.
 
 _torus_values evaluates a lattice symbol on the torus grid for both the
 torus-min certificate and mahler.mahler_grid.
@@ -33,39 +34,33 @@ from .groups import FolnerWindow, folner_window  # noqa: F401
 from .ring import RingElement
 
 
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class CompressionMatrix:
     """Compression f_F stored as COO triples over int64 arrays.
 
     Triple k is the entry (rows[k], cols[k]) with value coeffs[term[k]]:
     coeffs is the tuple of f's exact coefficients in sorted_terms order,
     extended by whatever values a perturbation puts in.  Every float view is
-    one gather of coeffs through term; exact per-entry values are built only
-    by to_exact_rows.  factorization.factor decides whether it eliminates the
-    dense view (to_float) or the sparse one (to_csc).
+    one gather of coeffs through term, built fresh on each call, so writing
+    into a view leaves the compression as it was; exact per-entry values are
+    built only by to_exact_rows.  factorization.factor decides whether it
+    eliminates the dense view (to_float) or the sparse one (to_csc).
     """
 
-    __slots__ = ("window", "n", "domain", "rows", "cols", "term", "coeffs", "_float_cache")
+    window: FolnerWindow
+    rows: np.ndarray
+    cols: np.ndarray
+    term: np.ndarray
+    coeffs: tuple
+    domain: str
 
-    def __init__(self, window: FolnerWindow, rows, cols, term, coeffs: tuple, domain: str):
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "n", len(window))
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "term", term)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_float_cache", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CompressionMatrix is immutable")
+    @property
+    def n(self) -> int:
+        return len(self.window)
 
     @property
     def nnz(self) -> int:
         return len(self.term)
-
-    @property
-    def density(self) -> float:
-        return self.nnz / (self.n * self.n)
 
     def to_exact_rows(self):
         zero = ring._coerce(0, self.domain)
@@ -85,13 +80,9 @@ class CompressionMatrix:
         return np.array(self.coeffs, dtype=dtype)[term]
 
     def to_float(self) -> np.ndarray:
-        cached = self._float_cache
-        if cached is not None:
-            return cached
         vals = self._float_vals(self.term)
         M = np.zeros((self.n, self.n), dtype=vals.dtype)
         M[self.rows, self.cols] = vals
-        object.__setattr__(self, "_float_cache", M)
         return M
 
     def to_csc(self) -> sp.csc_matrix:
@@ -283,7 +274,7 @@ def sigma_min_estimate(M) -> float:
         if isinstance(M, CompressionMatrix):
             M = M.to_float()
         return float(sla.svdvals(M.toarray() if sp.issparse(M) else M)[-1])
-    solve = fac._factors.solve
+    solve = fac.solve
     if fac.dtype == np.complex128:
         # the real symmetric form [[Re B, -Im B], [Im B, Re B]] of the
         # Hermitian B = (M^H M)^-1 has B's eigenvalues, each twice, and keeps

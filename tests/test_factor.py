@@ -45,6 +45,17 @@ def test_backend_dispatch():
     assert G.factor(G.compress(g, G.folner_window(Z1, 100))).backend == "lu"
     big = G.factor(G.compress(f, G.folner_window(Z1, 300)))      # 601 unknowns
     assert (big.backend, big.n) == ("superlu", 601)
+    # size alone decides: a 600-point compression of density 0.27 goes to SuperLU too
+    rng = np.random.default_rng(3)
+    C600 = G.cyclic_product([600])
+    shifts = rng.choice(np.arange(1, 600), size=159, replace=False)
+    h = G.ring_element(C600, {(0,): 1000, **{(int(s),): int(rng.choice([-1, 1])) for s in shifts}})
+    M = G.compress(h, G.folner_window(C600, 1))
+    assert M.nnz == 160 * 600
+    dense = G.factor(M.to_float())
+    sparse = G.factor(M)
+    assert (dense.backend, sparse.backend) == ("lu", "superlu")
+    assert sparse.logabsdet == pytest.approx(dense.logabsdet, rel=1e-9)
     # explicit inputs keep their form: dense stays LAPACK, sparse stays SuperLU
     assert G.factor(np.eye(3)).backend == "cholesky"
     assert G.factor(sp.identity(3, format="csr")).backend == "superlu"

@@ -164,6 +164,23 @@ def test_integer_parameters_are_checked_not_truncated():
             G.GroupDescriptor("lattice", params)
 
 
+F_SA = G.ring_element(Z1, {(0,): 3, (1,): 1, (-1,): 1})
+
+
+@pytest.mark.parametrize("call, value", [
+    (G.integer_lattice, 2),
+    (lambda d: G.GroupDescriptor("lattice", (d,)), 2),
+    (lambda N: G.mahler_grid(F_SA, N), 64),
+    (lambda N: G.circulant_logdet(F_SA, N), 8),
+    (lambda k: G.power(F_SA, k), 2),
+], ids=["integer_lattice", "GroupDescriptor", "mahler_grid", "circulant_logdet", "power"])
+def test_integer_parameters_take_numpy_ints_and_refuse_bools(call, value):
+    assert call(np.int64(value)) == call(value)
+    for bad in (True, float(value), str(value)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call(bad)
+
+
 def test_cyclic_coordinates_of_the_wrong_length_are_refused():
     C23 = G.cyclic_product([2, 3])
     for desc, c in ((C5, (1, 2, 3)), (C5, ()), (C23, (1,)), (C23, (1, 2, 0))):

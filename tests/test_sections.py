@@ -7,7 +7,6 @@ import pytest
 import grdet as G
 from grdet import sections
 from grdet.errors import DomainError
-from grdet.factorization import SPARSE_DENSITY_CUTOFF
 
 Z1 = G.integer_lattice(1)
 Z2 = G.integer_lattice(2)
@@ -59,9 +58,8 @@ def test_compress_adjoint_is_conjugate_transpose():
 def test_compress_sparsity_flag():
     f = zpoly({0: 3, 1: 1, -1: 1})
     small = G.compress(f, window_range(3))
-    assert small.density == pytest.approx(7 / 9)
+    assert small.nnz == 7
     big = G.compress(f, window_range(64))
-    assert big.density < SPARSE_DENSITY_CUTOFF
     assert big.nnz <= len(f) * 64
 
 
@@ -71,6 +69,35 @@ def test_compress_exact_rows_match_csc():
     csc = M.to_csc()
     import numpy as np
     assert np.array_equal(csc.toarray(), np.array(M.to_int_rows(), dtype=float))
+
+
+def test_views_are_built_fresh():
+    f = zpoly({0: 3, 1: 1, -1: 1})
+    M = G.compress(f, G.folner_window(Z1, 3))
+    exact = np.array(M.to_int_rows(), dtype=float)
+    before = G.logabsdet(M)
+    M.to_float()[:] *= 2
+    M.to_csc().data[:] = 0
+    assert np.array_equal(M.to_float(), exact)
+    assert np.array_equal(M.to_csc().toarray(), exact)
+    assert G.logabsdet(M) == before
+
+
+def test_value_types_refuse_assignment_and_deletion():
+    f = zpoly({0: 3, 1: 1, -1: 1})
+    W = G.folner_window(Z1, 2)
+    M = G.compress(f, W)
+    g = G.GroupElement(Z1, (1,))
+    for obj, name in ((g, "coords"), (g, "descriptor"), (W, "rows"), (W, "coords"),
+                      (f, "terms"), (f, "domain"), (M, "rows"), (M, "coeffs")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert g == G.GroupElement(Z1, (1,)) and hash(g) == hash(G.GroupElement(Z1, (1,)))
+    assert len(W) == 5 and W == G.folner_window(Z1, 2)
+    assert f == zpoly({0: 3, 1: 1, -1: 1})
+    assert M.to_int_rows() == G.compress(f, W).to_int_rows()
 
 
 def test_operator_norm_bounded_by_l1():
