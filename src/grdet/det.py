@@ -2,9 +2,10 @@
 
 Five routes to determinant data live here:
 
-  * logabsdet        -- log|det| from factorization.factor (LAPACK
-                        Cholesky or LU, or SuperLU for large sparse
-                        compressions), summing logs of pivot magnitudes;
+  * logabsdet        -- log|det| from factorization.factor (SuperLU for
+                        compressions and sparse matrices, LAPACK Cholesky
+                        or LU for dense arrays), summing logs of pivot
+                        magnitudes;
                         -inf when the smallest pivot is at most 16 n eps
                         times the largest, unless an exact-integer matrix
                         has a nonzero determinant modulo a prime;
@@ -596,8 +597,13 @@ def _section_rows(f: RingElement, schedule, method: str, window_matrix) -> tuple
 # Each support is a groups.KeyIndex; one step (KeyIndex.translates) finds the
 # next support and where each translate lands.  Coefficients ride along as
 # int64 residues modulo primes below 2^31 (exact route, rebuilt by CRT) or as
-# complex128 (float route).  Only a_j = <Q_j, Q_j> and b_j = <Q_j, Q_j+1> are
-# kept, with <X, Y> = sum X(g) conj(Y(g)) = tr(X Y) for self-adjoint Y.  Half
+# complex128 (float route).  In the exact route s's coefficients are centred
+# residues c~ with |c~| <= min(|c|, 2^30) and Q_j's stay in [0, p), so a
+# scattered row sum is at most (p - 1) S with S = sum_t min(|c_t|, 2^30); the
+# primes lie below 2^53 / S, which keeps every product and row sum an exact
+# float64 integer and leaves one reduction mod p per step.  Only
+# a_j = <Q_j, Q_j> and b_j = <Q_j, Q_j+1> are kept, with
+# <X, Y> = sum X(g) conj(Y(g)) = tr(X Y) for self-adjoint Y.  Half
 # the depth gives every trace: tr s^2j = a_j and tr s^2j+1 = b_j for s = s*,
 # and T_2j = 2 T_j^2 - 1, T_2j+1 = 2 T_j T_j+1 - T_1 give 2 a_j - 1, 2 b_j - b_0.
 
@@ -618,8 +624,9 @@ def _pair_walk(desc, coords, C, depth: int, odd: bool, P=None, chebyshev: bool =
     odd b_j = <Q_j, Q_j+1> between them (a_0, b_0, a_1, ..., a_depth).
 
     s has the rows ``coords`` and coefficients C of shape (planes, len(coords)):
-    int64 residues modulo the column of primes P, or one complex128 plane if
-    P is None.  Pairing needs e among the rows (its coefficient may be 0): the
+    int64 centred residues modulo the column of primes P, with
+    (p - 1) sum |C[i]| < 2^53 on plane i, or one complex128 plane if P is
+    None.  Pairing needs e among the rows (its coefficient may be 0): the
     translates by e place Q_j's rows in Q_j+1's support.
     """
     arrays = groups.CoordinateArrays(desc)
@@ -643,8 +650,8 @@ def _pair_walk(desc, coords, C, depth: int, odd: bool, P=None, chebyshev: bool =
             w = (c[:, None] * V[i][None, :]).reshape(-1)
             if P is None:
                 W[i] = np.bincount(at, w.real, size) + 1j * np.bincount(at, w.imag, size)
-            else:   # at most len(S) terms below 2^31 per row: exact in float64
-                W[i] = np.bincount(at, w % P[i, 0], size)
+            else:   # |row sum| <= (p - 1) sum |c| < 2^53: exact in float64
+                W[i] = np.bincount(at, w, size)
         if odd:
             emb = pos[at_e].copy()   # Q_j-1's rows in Q_j's support
             if chebyshev and j > 1:
@@ -666,7 +673,8 @@ def _integer_trace_moments(f: RingElement, count: int):
     Self-adjoint f: M_j = sum_g (F^j)_g^2 = a_j for the powers of F = D f.
     Otherwise walk powers of G = F* F to half the depth: M_2k = a_k =
     sum (G^k)_g^2 and M_2k+1 = b_k = sum (G^k)_g (G^(k+1))_g.
-    Every |M_j| <= |F|_1^(2j), which fixes the number of primes.
+    Every |M_j| <= |F|_1^(2j), which fixes the number of primes; s's
+    coefficients fix how large they may be (see _walk_primes).
     """
     if f.domain not in (ring.INT, ring.RATIONAL):
         raise DomainError("exact trace moments need an exact scalar domain")
@@ -676,13 +684,30 @@ def _integer_trace_moments(f: RingElement, count: int):
     s = F if self_adjoint else ring.convolve(ring.adjoint(F), F)
     terms = s.sorted_terms()
     bound = max(1, sum(abs(v) for v in F.terms.values())) ** (2 * count)
-    # every prime exceeds 2^30, so their product exceeds 4 * bound
-    primes = _crt_primes(-(-(bound.bit_length() + 2) // 30))
-    C = np.array([[v % p for _, v in terms] for p in primes], dtype=np.int64)
+    primes = _walk_primes([v for _, v in terms], bound)
+    C = np.array([[(v + p // 2) % p - p // 2 for _, v in terms] for p in primes],
+                 dtype=np.int64)
     depth = count if self_adjoint else -(-count // 2)
     sums = _pair_walk(f.descriptor, [g.coords for g, _ in terms], C, depth,
                       not self_adjoint, np.array(primes, dtype=np.int64)[:, None])
     return D, [_crt_symmetric(r, primes) for r in sums[: count + 1].tolist()]
+
+
+def _walk_primes(coeffs, bound: int) -> tuple:
+    """The fewest largest primes p below min(2^31, 2^53 / S), with S the sum
+    of min(|c|, 2^30) over the integers coeffs, whose product exceeds
+    4 * bound: (p - 1) S < 2^53 bounds every row sum of the exact walk, and
+    CRT recovers every integer of magnitude at most bound.
+    """
+    S = max(1, sum(min(abs(c), 1 << 30) for c in coeffs))
+    below = min(1 << 31, (1 << 53) // S)
+    # primes near below exceed 2^bits, so (bit length of bound + 2) / bits of
+    # them cover 4 * bound
+    bits = max(1, below.bit_length() - 2)
+    primes = _crt_primes(-(-(bound.bit_length() + 2) // bits), below)
+    if primes[-1] >> bits == 0:
+        raise DomainError("coefficients too large for the exact trace walk")
+    return primes
 
 
 def _trace_moments(f: RingElement, count: int) -> list:

@@ -3,15 +3,13 @@
 factor(M) takes a CompressionMatrix, a dense array or a scipy sparse matrix
 and is the only code that picks how it is eliminated:
 
-  * dense arrays, and compressions with n <= 512 (as their to_float view),
-    go to LAPACK: Cholesky (potrf) for Hermitian positive-definite input,
-    partial-pivoting LU (getrf) otherwise;
-  * scipy sparse matrices, and compressions with n > 512 (as their to_csc
-    view), go to SuperLU with equilibration off, since its row and column
-    scaling would change the determinant.  A symmetric sparsity pattern --
-    for a compression, exactly when the symbol's support is closed under
-    inverse -- is ordered by minimum degree on A^T + A, with diagonal pivots
-    preferred down to a threshold of 0.1; any other pattern keeps COLAMD.
+  * compressions (as their to_csc view, at every size) and scipy sparse
+    matrices go to SuperLU with equilibration off, since its row and column
+    scaling would change the determinant.  Every pattern is ordered by
+    minimum degree on A^T + A, with diagonal pivots preferred down to a
+    threshold of 0.1;
+  * dense arrays a caller passes in go to LAPACK: Cholesky (potrf) for
+    Hermitian positive-definite input, partial-pivoting LU (getrf) otherwise.
 
 Logs of pivot magnitudes are summed, so window sizes in the thousands cannot
 overflow.  Singularity is decided relative to the matrix: a factorization
@@ -40,7 +38,8 @@ import scipy.sparse as sp
 from .errors import DomainError
 from . import ring
 
-_DENSE_MAX_N = 512
+# the dense modular elimination of the residue proof is tried up to this size
+_PROOF_MAX_N = 512
 # Eliminating a singular matrix leaves a last pivot of about n eps times the
 # largest: random integer matrices of rank n - 1 (n = 20..200) reached 0.92 n
 # eps.  A pivot below 16 n eps has lost all but a few bits in any case.
@@ -52,13 +51,14 @@ _TRANS = {"N": 0, "T": 1, "H": 2}
 class Factorization:
     """The factors of a square matrix and how they were obtained.
 
-    backend is "cholesky", "lu" or "superlu"; ordering is "natural" for
-    LAPACK and the SuperLU column ordering ("MMD_AT_PLUS_A" or "COLAMD")
-    otherwise.  pivot_ratio is the smallest pivot magnitude over the largest
-    (0.0 when a pivot is zero or SuperLU gave up); dtype is the float or
-    complex type of the factored matrix.  proof names the exact
-    argument that settled a numerically singular flag ("structural-rank" or
-    "det-mod-p"), or is None when the pivots alone decided.
+    backend is "cholesky" or "lu" for a dense array (LAPACK), "superlu" for
+    a compression or a sparse matrix; ordering is "natural" for LAPACK and
+    "MMD_AT_PLUS_A" (minimum degree on A^T + A) for SuperLU.  pivot_ratio
+    is the smallest pivot magnitude over the largest (0.0 when a pivot is
+    zero or SuperLU gave up); dtype is the float or complex type of the
+    factored matrix.  proof names the exact argument that settled a
+    numerically singular flag ("structural-rank" or "det-mod-p"), or is None
+    when the pivots alone decided.
     """
 
     __slots__ = ("backend", "ordering", "n", "nnz", "dtype", "pivot_ratio", "singular",
@@ -137,9 +137,7 @@ def factor(M) -> Factorization:
         return _superlu(A.astype(_float_dtype(A), copy=False), exact)
     if hasattr(M, "to_csc"):  # a CompressionMatrix (sections imports this module)
         exact = (M.rows, M.cols, M.coeffs, M.term) if M.domain == ring.INT else None
-        if M.n > _DENSE_MAX_N:
-            return _superlu(M.to_csc(), exact)
-        return _lapack(M.to_float(), exact)
+        return _superlu(M.to_csc(), exact)
     A = np.asarray(M)
     _require_square(A.shape)
     exact = None
@@ -188,24 +186,14 @@ def _lapack(A: np.ndarray, exact) -> Factorization:
     return Factorization("lu", "natural", A, (lu, piv), d, logdet, exact)
 
 
-def _symmetric_pattern(A: sp.csc_matrix) -> bool:
-    """Whether A (canonical CSC) has the sparsity pattern of its transpose."""
-    T = A.T.tocsc()
-    return np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
-
-
 def _superlu(A: sp.csc_matrix, exact) -> Factorization:
     n = A.shape[0]
     if n == 0:
         return Factorization("superlu", "natural", A, None, None, 0.0, None)
-    if _symmetric_pattern(A):
-        ordering = "MMD_AT_PLUS_A"
-        kwargs = dict(diag_pivot_thresh=0.1, options=dict(Equil=False, SymmetricMode=True))
-    else:
-        ordering = "COLAMD"
-        kwargs = dict(options=dict(Equil=False))
+    ordering = "MMD_AT_PLUS_A"
     try:
-        lu = sp.linalg.splu(A, permc_spec=ordering, **kwargs)
+        lu = sp.linalg.splu(A, permc_spec=ordering, diag_pivot_thresh=0.1,
+                            options=dict(Equil=False, SymmetricMode=True))
     except RuntimeError:  # SuperLU meets an exactly zero pivot column
         return Factorization("superlu", ordering, A, None, None, -math.inf, exact)
     d = np.abs(lu.U.diagonal())
@@ -225,7 +213,7 @@ def _settle_exactly(n: int, rows, cols, coeffs, term, try_modular: bool) -> Opti
     pattern = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     if sp.csgraph.structural_rank(pattern) < n:
         return "structural-rank"
-    if not try_modular or n > _DENSE_MAX_N:
+    if not try_modular or n > _PROOF_MAX_N:
         return None
     for p in ring._crt_primes(_PROOF_PRIMES):
         residues = np.array([int(c) % p for c in coeffs], dtype=np.int64)[term]

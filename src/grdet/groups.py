@@ -59,8 +59,10 @@ class GroupDescriptor:
                 raise DomainError("lattice rank must be a positive integer")
             object.__setattr__(self, "params", (d,))
         elif self.family == CYCLIC:
-            if not self.params or any(not (isinstance(m, int) and m >= 2) for m in self.params):
+            moduli = tuple(_as_int(m, "every cyclic modulus") for m in self.params)
+            if not moduli or min(moduli) < 2:
                 raise DomainError("every cyclic modulus must be an integer >= 2")
+            object.__setattr__(self, "params", moduli)
         elif self.family in (HEISENBERG, FREE2):
             if self.params:
                 raise DomainError(f"{self.family} takes no parameters")
@@ -103,7 +105,7 @@ def heisenberg3() -> GroupDescriptor:
 
 
 def cyclic_product(moduli: Iterable[int]) -> GroupDescriptor:
-    return GroupDescriptor(CYCLIC, tuple(_as_int(m, "every cyclic modulus") for m in moduli))
+    return GroupDescriptor(CYCLIC, tuple(moduli))
 
 
 def free_group_rank2() -> GroupDescriptor:

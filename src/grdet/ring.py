@@ -88,14 +88,16 @@ def _is_prime(n: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _crt_primes(count: int) -> tuple:
-    """The count largest primes below 2^31, descending.
+def _crt_primes(count: int, below: int = 1 << 31) -> tuple:
+    """The count largest odd primes below ``below`` (at most 2^31), descending.
 
     Residues stay below 2^31, so a product of two fits in int64.
     """
     primes = []
-    n = (1 << 31) - 1
+    n = (below - 2) | 1
     while len(primes) < count:
+        if n < 3:
+            raise DomainError(f"fewer than {count} odd primes below {below}")
         if _is_prime(n):
             primes.append(n)
         n -= 2

@@ -43,8 +43,8 @@ class CompressionMatrix:
     extended by whatever values a perturbation puts in.  Every float view is
     one gather of coeffs through term, built fresh on each call, so writing
     into a view leaves the compression as it was; exact per-entry values are
-    built only by to_exact_rows.  factorization.factor decides whether it
-    eliminates the dense view (to_float) or the sparse one (to_csc).
+    built only by to_exact_rows.  factorization.factor eliminates the sparse
+    view (to_csc) with SuperLU at every size.
     """
 
     window: FolnerWindow
@@ -87,7 +87,9 @@ class CompressionMatrix:
 
     def to_csc(self) -> sp.csc_matrix:
         """The sparse float view in canonical form: rows ascending in each column."""
-        order = np.lexsort((self.rows, self.cols))
+        # compress emits the triples column by column, and on lattice and H3
+        # windows with rows ascending too, so the stable sort is linear there
+        order = np.argsort(self.cols * self.n + self.rows, kind="stable")
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.cols, minlength=self.n), out=indptr[1:])
         return sp.csc_matrix((self._float_vals(self.term[order]), self.rows[order], indptr),
@@ -254,15 +256,17 @@ def certify_invertible(f: RingElement, method: str, grid_n: int = 256) -> Invert
 # ---------------------------------------------------------------------------
 # smallest singular value
 
-# Lanczos basis size; smaller SuperLU factorizations take the dense SVD
+# Lanczos basis size; SuperLU factorizations of at most this many unknowns
+# (compressions of windows up to 40 points) take the dense SVD instead
 _LANCZOS_NCV = 40
 
 
 def sigma_min_estimate(M) -> float:
     """Smallest singular value: 0.0 when factorization.factor finds M
-    singular, else LAPACK's svdvals for dense factorizations and, for
-    SuperLU, Lanczos (ARPACK eigsh from a seeded start) on (M^H M)^-1, which
-    raises ArpackNoConvergence rather than return an unconverged value.
+    singular, else LAPACK's svdvals for dense arrays and matrices of at most
+    _LANCZOS_NCV unknowns and, for every larger compression or sparse matrix
+    (SuperLU), Lanczos (ARPACK eigsh from a seeded start) on (M^H M)^-1,
+    which raises ArpackNoConvergence rather than return an unconverged value.
     """
     fac = factor(M)
     n = fac.n

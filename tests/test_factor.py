@@ -39,13 +39,22 @@ def z2(mapping):
 # ---------------------------------------------------------------------- dispatch
 
 def test_backend_dispatch():
-    f = z1({0: 3, 1: 1, -1: 1})
-    assert G.factor(G.compress(f, G.folner_window(Z1, 100))).backend == "cholesky"
-    g = z1({0: 3, 1: 1})
-    assert G.factor(G.compress(g, G.folner_window(Z1, 100))).backend == "lu"
-    big = G.factor(G.compress(f, G.folner_window(Z1, 300)))      # 601 unknowns
-    assert (big.backend, big.n) == ("superlu", 601)
-    # size alone decides: a 600-point compression of density 0.27 goes to SuperLU too
+    # every compression goes to SuperLU, whatever its size, field or symmetry;
+    # its dense view, passed in as an array, goes to LAPACK
+    W = G.folner_window(Z1, 100)                             # 201 points
+    for f, dense_backend in ((z1({0: 3, 1: 1, -1: 1}), "cholesky"),
+                             (z1({0: 3, 1: 1}), "lu"),
+                             (z1({0: 3 + 0j, 1: 1j, -1: -1j}), "cholesky"),
+                             (z1({0: 3 + 0j, 1: 1j}), "lu")):
+        M = G.compress(f, W)
+        fac = G.factor(M)
+        assert (fac.backend, fac.ordering, fac.n) == ("superlu", "MMD_AT_PLUS_A", 201)
+        assert fac.dtype == (np.complex128 if f.domain == ring.COMPLEX else np.float64)
+        dense = G.factor(M.to_float())
+        assert dense.backend == dense_backend
+        assert fac.logabsdet == pytest.approx(dense.logabsdet, rel=1e-12)
+    # density does not matter either: a 600-point compression of density 0.27
+    # goes to SuperLU too
     rng = np.random.default_rng(3)
     C600 = G.cyclic_product([600])
     shifts = rng.choice(np.arange(1, 600), size=159, replace=False)
@@ -69,14 +78,28 @@ def test_symmetric_pattern_picks_minimum_degree_ordering():
     ] + [G.compress(f, G.folner_window(H3, 3)) for f in H3_SYMBOLS.values()]
     for M in sym:
         assert G.factor(M).ordering == "MMD_AT_PLUS_A"
+    # supports not closed under inverse have non-symmetric patterns; minimum
+    # degree on A^T + A fills no more than COLAMD on them
     other = [
         G.compress(z2({(0, 0): 6, (1, 0): 1, (0, -1): -1, (-1, 1): 1, (1, 1): 1}),
-                   G.folner_window(Z2, 16)),
+                   G.folner_window(Z2, 10)),                  # 441 points
         G.compress(z1({1: 1}), G.folner_window(Z1, 300)),           # the shift u
     ]
-    for M in other:
-        fac = G.factor(M)
-        assert (fac.backend, fac.ordering) == ("superlu", "COLAMD")
+    window, shift = facs = [G.factor(M) for M in other]
+    for M, fac in zip(other, facs):
+        A = M.to_csc()
+        assert (A != A.T).nnz > 0
+        assert fac.ordering == "MMD_AT_PLUS_A"
+    colamd = spla.splu(other[0].to_csc(), permc_spec="COLAMD", options=dict(Equil=False))
+    assert window.nnz_lu <= colamd.L.nnz + colamd.U.nnz
+    _, dense = np.linalg.slogdet(other[0].to_float())
+    assert not window.singular
+    assert window.logabsdet == pytest.approx(dense, rel=1e-12)
+    # u's compression has an empty column, so either ordering stops at a
+    # zero pivot and the structural rank settles it
+    with pytest.raises(RuntimeError):
+        spla.splu(other[1].to_csc(), permc_spec="COLAMD", options=dict(Equil=False))
+    assert (shift.singular, shift.proof, shift.nnz_lu) == (True, "structural-rank", 0)
 
 
 @pytest.mark.parametrize("kind", sorted(H3_SYMBOLS))
@@ -208,18 +231,23 @@ def test_integer_compressions_settle_by_residues_of_their_coefficients():
     assert len(P.coeffs) == len(M.coeffs) + 1
     for A in (M, P):
         fac = G.factor(A)
-        assert fac.pivot_ratio < 1e-100
+        assert fac.pivot_ratio <= fac.n * factorization._PIVOT_RTOL   # flagged
         assert (fac.singular, fac.proof) == (False, "det-mod-p")
         assert fac.logabsdet == G.factor(np.array(A.to_int_rows())).logabsdet
     # singular with full structural rank, so no residue may prove them
     # nonsingular: 2 + 3u - 5u^2 over Z/7 vanishes at u = 1, and
     # (1 - u + u^2)(3 + u) over Z/30 at the primitive sixth roots of unity.
-    # Equal or rotated coefficients would give nonsingular matrices.
+    # Equal or rotated coefficients would give nonsingular matrices.  Their
+    # integer arrays go to dense LU, which leaves a tiny nonzero last pivot,
+    # so the residue proof runs on them
     for m, coeffs in ((7, (2, 3, -5)), (30, (3, -2, 2, 1))):
         C = G.cyclic_product([m])
         g = G.ring_element(C, {(k,): v for k, v in enumerate(coeffs)})
-        fac = G.factor(G.compress(g, G.folner_window(C, m)))
+        M = G.compress(g, G.folner_window(C, m))
+        fac = G.factor(np.array(M.to_int_rows()))
         assert fac.pivot_ratio > 0.0 and (fac.singular, fac.proof) == (True, None)
+        sparse = G.factor(M)
+        assert (sparse.singular, sparse.proof) == (True, None)
 
 
 def test_integer_sparse_input_settles_like_dense():

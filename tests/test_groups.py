@@ -164,6 +164,15 @@ def test_integer_parameters_are_checked_not_truncated():
             G.GroupDescriptor("lattice", params)
 
 
+def test_cyclic_descriptor_checks_moduli_like_cyclic_product():
+    desc = G.GroupDescriptor("cyclic", (np.int64(6), 3))
+    assert desc == G.cyclic_product([6, 3]) and type(desc.params[0]) is int
+    assert G.descriptor_string(desc) == "Zmod:6x3"
+    for params in ((True, 3), (6.0,), (1,), ()):
+        with pytest.raises(DomainError, match="cyclic modulus must be an integer"):
+            G.GroupDescriptor("cyclic", params)
+
+
 F_SA = G.ring_element(Z1, {(0,): 3, (1,): 1, (-1,): 1})
 
 

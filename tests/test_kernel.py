@@ -6,6 +6,7 @@ match them bit for bit, complex ones within 1e-12.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 
 import grdet as G
 from grdet import det, groups, ring
-from grdet.errors import ScaleExceeded
+from grdet.errors import DomainError, ScaleExceeded
 
 Z1 = G.integer_lattice(1)
 Z2 = G.integer_lattice(2)
@@ -158,27 +159,64 @@ def test_moments_match_dict_walk(name, f, degree):
     assert [type(m) for m in moments] == [type(m) for m in expected]
 
 
-def test_moments_beyond_int64():
+@pytest.mark.parametrize("f, bits", [
+    (el(Z1, {(0,): 1_000_003, (1,): 999_983, (-1,): 999_983}), 31),
+    (el(H3, {(0, 0, 0): 3_000_017, (1, 0, 0): -7_777_777, (0, -1, 1): 5}), 22),
+    (el(Z1, {(0,): Fraction(10**9 + 7, 3), (2,): Fraction(-1, 10**6 + 3)}), 22),
+], ids=["z1-self-adjoint", "h3", "z1-rational"])
+def test_moments_beyond_int64(monkeypatch, f, bits):
     # coefficients near 10^6 push m_j past 2^62 from j = 2 on, so the walk
-    # needs several primes and CRT has to rebuild every bit
-    cases = [
-        el(Z1, {(0,): 1_000_003, (1,): 999_983, (-1,): 999_983}),
-        el(H3, {(0, 0, 0): 3_000_017, (1, 0, 0): -7_777_777, (0, -1, 1): 5}),
-        el(Z1, {(0,): Fraction(10**9 + 7, 3), (2,): Fraction(-1, 10**6 + 3)}),
-    ]
-    for f in cases:
-        moments = det._trace_moments(f, 8)
-        assert moments == oracle_moments(f, 8)
-        assert max(moments) > 2 ** 62
+    # needs several primes and CRT has to rebuild every bit.  The walked
+    # symbol s (F = D f itself, or F* F) caps the primes: with S the sum of
+    # min(|c|, 2^30) over s's coefficients, (p - 1) S < 2^53 must hold, which
+    # leaves the 31-bit primes for the first and primes below 2^22 for F* F
+    seen = []
+    walk = det._pair_walk
+
+    def recording_walk(desc, coords, C, depth, odd, P=None, chebyshev=False):
+        seen.append((C, P))
+        return walk(desc, coords, C, depth, odd, P, chebyshev)
+
+    monkeypatch.setattr(det, "_pair_walk", recording_walk)
+    moments = det._trace_moments(f, 8)
+    assert moments == oracle_moments(f, 8)
+    assert max(moments) > 2 ** 62
+    D = math.lcm(*(Fraction(v).denominator for v in f.terms.values()))
+    F = el(f.descriptor, {g.coords: int(v * D) for g, v in f.terms.items()}, ring.INT)
+    s = F if ring.is_self_adjoint(F) else ring.convolve(ring.adjoint(F), F)
+    S = sum(min(abs(v), 2 ** 30) for v in s.terms.values())
+    ((C, P),) = seen
+    primes = P[:, 0].tolist()
+    assert 2 ** (bits - 2) <= min(primes) and max(primes) < 2 ** bits
+    assert all((p - 1) * S < 2 ** 53 for p in primes)
+    # the centred residues of s's coefficients stay within that sum
+    assert all(int(np.abs(c).sum()) <= S and np.abs(c).max() <= p // 2
+               for c, p in zip(C, primes))
 
 
 def test_crt_primes_are_primes():
-    primes = det._crt_primes(64)
-    assert len(set(primes)) == 64
-    assert list(primes) == sorted(primes, reverse=True)
-    assert primes[0] < 2 ** 31
-    for p in primes:
-        assert all(p % d for d in range(2, int(p ** 0.5) + 1))
+    for below in (2 ** 31, 2 ** 21 + 2 ** 19):
+        primes = det._crt_primes(64, below)
+        assert len(set(primes)) == 64
+        assert list(primes) == sorted(primes, reverse=True)
+        assert primes[0] < below
+        for p in primes:
+            assert all(p % d for d in range(2, int(p ** 0.5) + 1))
+    assert det._crt_primes(64) == det._crt_primes(64, 2 ** 31)
+    assert det._crt_primes(4, 12) == (11, 7, 5, 3)
+    with pytest.raises(DomainError):
+        det._crt_primes(5, 12)
+
+
+def test_walk_primes_cover_the_moment_bound():
+    # S = 2^46 leaves the 13 primes in (64, 128) of 6 bits each
+    coeffs = [2 ** 40] * 2 ** 16
+    primes = det._walk_primes(coeffs, 2 ** 50)
+    assert max(primes) < 128 and math.prod(primes) > 4 * 2 ** 50
+    assert all((p - 1) * 2 ** 46 < 2 ** 53 for p in primes)
+    with pytest.raises(DomainError):
+        det._walk_primes(coeffs, 2 ** 100)
+    assert det._walk_primes([3, -1, -1], 7 ** 20) == det._crt_primes(2)
 
 
 def test_chebyshev_combination_bit_identical():

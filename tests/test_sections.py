@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import grdet as G
-from grdet import sections
+from grdet import det, sections
 from grdet.errors import DomainError
 
 Z1 = G.integer_lattice(1)
@@ -65,10 +65,20 @@ def test_compress_sparsity_flag():
 
 def test_compress_exact_rows_match_csc():
     f = zpoly({0: 3, 1: 1, -1: 1})
-    M = G.compress(f, window_range(3))
-    csc = M.to_csc()
-    import numpy as np
-    assert np.array_equal(csc.toarray(), np.array(M.to_int_rows(), dtype=float))
+    lattice = G.compress(zpoly({(0, 0): 6, (1, 0): 1, (0, -1): -1, (-1, 1): 1}, Z2),
+                         G.folner_window(Z2, 4))
+    C7 = G.cyclic_product([7])
+    cyclic = G.compress(zpoly({0: 3, 1: 1, -1: 1, 3: 2}, C7), G.folner_window(C7, 1))
+    # two columns replaced; their new triples come last, rows descending
+    replaced = det._replace_columns(lattice, [40, 3, 12, 0], [5, 5, 30, 30], [7, -1, 2, 4])
+    for M in (G.compress(f, window_range(3)), lattice, cyclic, replaced):
+        csc = M.to_csc()
+        assert np.array_equal(csc.toarray(), np.array(M.to_int_rows(), dtype=float))
+        # the order lexsort by (column, row) gives
+        order = np.lexsort((M.rows, M.cols))
+        assert np.array_equal(csc.indices, M.rows[order])
+        assert np.array_equal(csc.data, np.array(M.coeffs, dtype=float)[M.term[order]])
+        assert np.array_equal(csc.indptr, np.searchsorted(M.cols[order], np.arange(M.n + 1)))
 
 
 def test_views_are_built_fresh():
@@ -193,14 +203,17 @@ def test_sigma_min_matches_svd():
     # to the all-ones vector, so an iteration started there misses it
     n = 256
     A = 4 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
-    # an 801-point Z^1 compression and a complex 601-point one, both factored
-    # by SuperLU; the complex one runs Lanczos on the real form of its inverse Gram
+    # Z^1 compressions of 801 and 301 points and a complex 601-point one, all
+    # factored by SuperLU and past the dense-SVD size, so all run Lanczos; the
+    # complex one on the real form of its inverse Gram
     M = G.compress(zpoly({0: 3, 1: 1, -2: 1}), window_range(801))
+    K = G.compress(zpoly({0: 3, 1: 1, -1: -1, 2: 1}), window_range(301))
     C = G.compress(zpoly({0: 3 + 0j, 1: 1j, -2: 0.5 + 0.5j}), window_range(601))
-    assert G.factor(M).backend == G.factor(C).backend == "superlu"
+    assert G.factor(M).backend == G.factor(K).backend == G.factor(C).backend == "superlu"
+    assert K.n > sections._LANCZOS_NCV
     assert G.factor(C).dtype == np.complex128
     for X, dense in ((A, A), (A.astype(np.complex128), A), (M, M.to_float()),
-                     (C, C.to_float())):
+                     (K, K.to_float()), (C, C.to_float())):
         exact = np.linalg.svd(dense, compute_uv=False).min()
         assert G.sigma_min_estimate(X) == pytest.approx(exact, rel=1e-12, abs=0)
 
