@@ -3,9 +3,7 @@
 Five routes to determinant data live here:
 
   * logabsdet        -- log|det| from factorization.factor (SuperLU for
-                        compressions and sparse matrices, LAPACK Cholesky
-                        or LU for dense arrays), summing logs of pivot
-                        magnitudes;
+                        every input), summing logs of pivot magnitudes;
                         -inf when the smallest pivot is at most 16 n eps
                         times the largest, unless an exact-integer matrix
                         has a nonzero determinant modulo a prime;
@@ -71,10 +69,12 @@ from .sections import CompressionMatrix, InvertibilityCertificate, compress
 def logabsdet(M) -> float:
     """log |det M|, or -inf when the factorization finds M singular.
 
-    Accepts a CompressionMatrix, a dense array, or a scipy sparse matrix.
-    factorization.factor picks the backend; M counts as singular when its
-    smallest pivot is at most 16 n eps times its largest, unless M is an
-    exact-integer matrix with a nonzero determinant modulo a prime.
+    Accepts a CompressionMatrix, a dense array, or a scipy sparse matrix;
+    factorization.factor eliminates each with SuperLU.  M counts as singular
+    when its smallest pivot is at most 16 n eps times its largest, unless M
+    is an exact-integer matrix with a nonzero determinant modulo a prime
+    (then a float elimination that met an exactly zero pivot raises
+    ScaleExceeded).  Non-finite entries raise DomainError.
     """
     return factor(M).logabsdet
 

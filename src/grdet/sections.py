@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import DescriptorMismatch, DomainError
@@ -256,17 +255,18 @@ def certify_invertible(f: RingElement, method: str, grid_n: int = 256) -> Invert
 # ---------------------------------------------------------------------------
 # smallest singular value
 
-# Lanczos basis size; SuperLU factorizations of at most this many unknowns
-# (compressions of windows up to 40 points) take the dense SVD instead
+# Lanczos basis size; matrices of at most this many unknowns take the dense
+# SVD instead
 _LANCZOS_NCV = 40
 
 
 def sigma_min_estimate(M) -> float:
     """Smallest singular value: 0.0 when factorization.factor finds M
-    singular, else LAPACK's svdvals for dense arrays and matrices of at most
-    _LANCZOS_NCV unknowns and, for every larger compression or sparse matrix
-    (SuperLU), Lanczos (ARPACK eigsh from a seeded start) on (M^H M)^-1,
-    which raises ArpackNoConvergence rather than return an unconverged value.
+    singular, else the dense SVD (numpy) for matrices of at most
+    _LANCZOS_NCV unknowns and, for every larger one, whatever its form,
+    Lanczos (ARPACK eigsh from a seeded start) on (M^H M)^-1 through the
+    SuperLU solves, which raises ArpackNoConvergence rather than return an
+    unconverged value.
     """
     fac = factor(M)
     n = fac.n
@@ -274,10 +274,12 @@ def sigma_min_estimate(M) -> float:
         raise DomainError("empty matrix")
     if fac.singular:
         return 0.0
-    if fac.backend != "superlu" or n <= _LANCZOS_NCV:
+    if n <= _LANCZOS_NCV:
         if isinstance(M, CompressionMatrix):
             M = M.to_float()
-        return float(sla.svdvals(M.toarray() if sp.issparse(M) else M)[-1])
+        elif sp.issparse(M):
+            M = M.toarray()
+        return float(np.linalg.svd(np.asarray(M, dtype=fac.dtype), compute_uv=False)[-1])
     solve = fac.solve
     if fac.dtype == np.complex128:
         # the real symmetric form [[Re B, -Im B], [Im B, Re B]] of the

@@ -40,12 +40,15 @@ def test_logabsdet_examples():
     M = G.compress(F3, window_range(3))
     assert G.logabsdet(M) == pytest.approx(math.log(21), rel=1e-14)
     assert G.logabsdet(np.zeros((3, 3))) == -math.inf
-    with pytest.raises(DomainError):
-        G.logabsdet(np.ones((2, 3)))
+    # not square; without the shape check a length-1 vector would pass as a
+    # 1 x 1 sparse matrix
+    for bad in (np.ones((2, 3)), np.array([5.0]), [1.0, 2.0], np.array(3.0)):
+        with pytest.raises(DomainError, match="square"):
+            G.logabsdet(bad)
 
 
 def test_logabsdet_dense_sparse_agree():
-    # the same tridiagonal through LAPACK and through SuperLU
+    # the same tridiagonal as a dense array and as a sparse matrix
     M = G.compress(F3, window_range(600))
     dense = G.logabsdet(M.to_float())
     sparse = G.logabsdet(M.to_csc())

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ import scipy.sparse.linalg as spla
 
 import grdet as G
 from grdet import det, factorization, ring
-from grdet.errors import DomainError
+from grdet.errors import DomainError, ScaleExceeded
 
 Z1 = G.integer_lattice(1)
 Z2 = G.integer_lattice(2)
@@ -39,35 +43,27 @@ def z2(mapping):
 # ---------------------------------------------------------------------- dispatch
 
 def test_backend_dispatch():
-    # every compression goes to SuperLU, whatever its size, field or symmetry;
-    # its dense view, passed in as an array, goes to LAPACK
+    # every input goes to SuperLU, whatever its form, size, field or
+    # symmetry: a compression and its dense view factor alike
     W = G.folner_window(Z1, 100)                             # 201 points
-    for f, dense_backend in ((z1({0: 3, 1: 1, -1: 1}), "cholesky"),
-                             (z1({0: 3, 1: 1}), "lu"),
-                             (z1({0: 3 + 0j, 1: 1j, -1: -1j}), "cholesky"),
-                             (z1({0: 3 + 0j, 1: 1j}), "lu")):
+    for f in (z1({0: 3, 1: 1, -1: 1}), z1({0: 3, 1: 1}),
+              z1({0: 3 + 0j, 1: 1j, -1: -1j}), z1({0: 3 + 0j, 1: 1j})):
         M = G.compress(f, W)
-        fac = G.factor(M)
-        assert (fac.backend, fac.ordering, fac.n) == ("superlu", "MMD_AT_PLUS_A", 201)
-        assert fac.dtype == (np.complex128 if f.domain == ring.COMPLEX else np.float64)
-        dense = G.factor(M.to_float())
-        assert dense.backend == dense_backend
+        fac, dense = G.factor(M), G.factor(M.to_float())
+        assert (fac.ordering, fac.n) == (dense.ordering, dense.n) == ("MMD_AT_PLUS_A", 201)
+        assert fac.dtype == dense.dtype == (np.complex128 if f.domain == ring.COMPLEX
+                                            else np.float64)
         assert fac.logabsdet == pytest.approx(dense.logabsdet, rel=1e-12)
     # density does not matter either: a 600-point compression of density 0.27
-    # goes to SuperLU too
     rng = np.random.default_rng(3)
     C600 = G.cyclic_product([600])
     shifts = rng.choice(np.arange(1, 600), size=159, replace=False)
     h = G.ring_element(C600, {(0,): 1000, **{(int(s),): int(rng.choice([-1, 1])) for s in shifts}})
     M = G.compress(h, G.folner_window(C600, 1))
     assert M.nnz == 160 * 600
-    dense = G.factor(M.to_float())
-    sparse = G.factor(M)
-    assert (dense.backend, sparse.backend) == ("lu", "superlu")
-    assert sparse.logabsdet == pytest.approx(dense.logabsdet, rel=1e-9)
-    # explicit inputs keep their form: dense stays LAPACK, sparse stays SuperLU
-    assert G.factor(np.eye(3)).backend == "cholesky"
-    assert G.factor(sp.identity(3, format="csr")).backend == "superlu"
+    _, expected = np.linalg.slogdet(M.to_float())
+    assert G.factor(M).logabsdet == pytest.approx(expected, rel=1e-9)
+    assert not hasattr(G.factor(np.eye(3)), "backend")
 
 
 def test_symmetric_pattern_picks_minimum_degree_ordering():
@@ -107,7 +103,7 @@ def test_symmetric_pattern_picks_minimum_degree_ordering():
 def test_h3_logabsdet_matches_dense_lu(h3_compressions, kind, n):
     M = h3_compressions[kind, n]
     fac = G.factor(M)
-    assert fac.backend == "superlu" and not fac.singular
+    assert not fac.singular
     _, dense = np.linalg.slogdet(M.to_float())
     assert fac.logabsdet == pytest.approx(dense, rel=1e-12)
     assert G.logabsdet(M) == fac.logabsdet
@@ -123,19 +119,22 @@ def test_h3_minimum_degree_fill(h3_compressions):
 def test_stats_report_the_factorization():
     fac = G.factor(G.compress(z1({0: 3, 1: 1, -1: 1}), G.folner_window(Z1, 300)))
     st = fac.stats()
-    assert st["backend"] == "superlu" and st["ordering"] == "MMD_AT_PLUS_A"
+    assert st["ordering"] == "MMD_AT_PLUS_A" and "backend" not in st
     assert (st["n"], st["nnz"]) == (601, 3 * 601 - 2)
     assert st["nnz_lu"] >= st["nnz"]
     assert 0.0 < st["pivot_ratio"] <= 1.0
     assert st["singular"] is False and st["proof"] is None
+    # a dense array is factored the same way; L keeps its unit diagonal
     dense = G.factor(np.diag([2.0, 8.0])).stats()
-    assert (dense["backend"], dense["nnz_lu"], dense["pivot_ratio"]) == ("cholesky", 3, 0.25)
+    assert (dense["ordering"], dense["nnz_lu"], dense["pivot_ratio"]) == ("MMD_AT_PLUS_A", 4, 0.25)
 
 
 # ---------------------------------------------------------------------- solves
 
 @pytest.mark.parametrize("trans", ["N", "T", "H"])
 def test_solve_matches_numpy_on_every_backend(trans):
+    # Hermitian positive-definite, general and sparse input all solve through
+    # SuperLU
     rng = np.random.default_rng(5)
     n = 40
     B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -143,9 +142,8 @@ def test_solve_matches_numpy_on_every_backend(trans):
     general = B + 2 * n * np.eye(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     op = {"N": lambda A: A, "T": lambda A: A.T, "H": lambda A: A.conj().T}[trans]
-    for A, backend in ((hpd, "cholesky"), (general, "lu"), (sp.csc_matrix(general), "superlu")):
+    for A in (hpd, general, sp.csc_matrix(general)):
         fac = G.factor(A)
-        assert fac.backend == backend
         dense = A.toarray() if sp.issparse(A) else A
         assert np.allclose(fac.solve(v, trans=trans), np.linalg.solve(op(dense), v),
                            rtol=1e-10, atol=1e-12)
@@ -156,7 +154,6 @@ def test_solve_matches_numpy_on_every_backend(trans):
 def test_sigma_min_sparse_and_dense_agree():
     f = z1({0: 3, 1: 1, -2: 1})
     M = G.compress(f, G.folner_window(Z1, 300))
-    assert G.factor(M).backend == "superlu"
     sparse = G.sigma_min_estimate(M)
     dense = G.sigma_min_estimate(M.to_float())
     exact = np.linalg.svd(M.to_float(), compute_uv=False).min()
@@ -203,7 +200,7 @@ def test_zero_matrix_is_singular():
     assert G.factor(np.zeros((3, 3), dtype=np.int64)).proof == "structural-rank"
 
 
-@pytest.mark.parametrize("n", [150, 400])   # dense LU, then SuperLU
+@pytest.mark.parametrize("n", [150, 400])   # both within the residue proof's size cap
 def test_shift_sections_settle_by_structural_rank(monkeypatch, n):
     def no_modular_elimination(*args):
         raise AssertionError("modular elimination reached")
@@ -221,7 +218,7 @@ def test_shift_sections_settle_by_structural_rank(monkeypatch, n):
     assert set(values) <= {-math.inf, 0.0}
 
 
-def test_integer_compressions_settle_by_residues_of_their_coefficients():
+def test_integer_compressions_settle_by_residues_of_their_coefficients(monkeypatch):
     # f = 1 + 10^17 u has det f_F = 1, but its pivots lie 10^170 apart; the
     # residues come from the coefficients, a perturbation's appended ones too
     f = z1({0: 1, 1: 10 ** 17})
@@ -237,17 +234,59 @@ def test_integer_compressions_settle_by_residues_of_their_coefficients():
     # singular with full structural rank, so no residue may prove them
     # nonsingular: 2 + 3u - 5u^2 over Z/7 vanishes at u = 1, and
     # (1 - u + u^2)(3 + u) over Z/30 at the primitive sixth roots of unity.
-    # Equal or rotated coefficients would give nonsingular matrices.  Their
-    # integer arrays go to dense LU, which leaves a tiny nonzero last pivot,
-    # so the residue proof runs on them
-    for m, coeffs in ((7, (2, 3, -5)), (30, (3, -2, 2, 1))):
+    # Equal or rotated coefficients would give nonsingular matrices.  SuperLU
+    # meets an exactly zero pivot on the Z/7 one and leaves a tiny nonzero
+    # last pivot on the Z/30 one; the residue proof runs on both, in either
+    # form, and fails for every prime
+    primes = []
+
+    def spy(n, rows, cols, residues, p):
+        primes.append(p)
+        return det_nonzero_mod(n, rows, cols, residues, p)
+
+    det_nonzero_mod = factorization._det_nonzero_mod
+    monkeypatch.setattr(factorization, "_det_nonzero_mod", spy)
+    for m, coeffs, zero_pivot in ((7, (2, 3, -5), True), (30, (3, -2, 2, 1), False)):
         C = G.cyclic_product([m])
         g = G.ring_element(C, {(k,): v for k, v in enumerate(coeffs)})
         M = G.compress(g, G.folner_window(C, m))
-        fac = G.factor(np.array(M.to_int_rows()))
-        assert fac.pivot_ratio > 0.0 and (fac.singular, fac.proof) == (True, None)
-        sparse = G.factor(M)
-        assert (sparse.singular, sparse.proof) == (True, None)
+        for A in (M, np.array(M.to_int_rows())):
+            primes.clear()
+            fac = G.factor(A)
+            assert (fac.pivot_ratio == 0.0) == zero_pivot
+            assert (fac.singular, fac.proof) == (True, None)
+            assert len(primes) == factorization._PROOF_PRIMES
+
+
+def test_proved_nonsingular_with_a_zero_float_pivot_raises():
+    # 2^60 + 1 + 2^60 g over Z/2 has det (2^60 + 1)^2 - 2^120 = 2^61 + 1, but
+    # float64 rounds both entries to 2^60 and the elimination meets an exactly
+    # zero pivot: the residues prove it nonsingular, and -inf would be wrong
+    C2 = G.cyclic_product([2])
+    h = G.ring_element(C2, {(0,): 2 ** 60 + 1, (1,): 2 ** 60})
+    F = G.folner_window(C2, 1)
+    M = G.compress(h, F)
+    assert G.det_exact(M.to_int_rows()) == 2 ** 61 + 1
+    with pytest.raises(ScaleExceeded):
+        G.logabsdet(M)
+    with pytest.raises(ScaleExceeded):
+        G.fk_finite_sections(h, [F], assume_invertible=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_refused(bad):
+    for A in (np.array([[1.0, bad], [0.0, 2.0]]), sp.csr_matrix([[1.0, bad], [0.0, 2.0]]),
+              [[1.0, bad], [0.0, 2.0]]):
+        with pytest.raises(DomainError, match="finite"):
+            G.logabsdet(A)
+    f = z1({0: bad, 1: 1.0})
+    F = G.folner_window(Z1, 25)                              # 51 points: Lanczos
+    M = G.compress(f, F)
+    for call in (G.logabsdet, G.sigma_min_estimate):
+        with pytest.raises(DomainError, match="finite"):
+            call(M)
+    with pytest.raises(DomainError, match="finite"):
+        G.fk_finite_sections(f, [F], assume_invertible=True)
 
 
 def test_integer_sparse_input_settles_like_dense():
@@ -258,10 +297,25 @@ def test_integer_sparse_input_settles_like_dense():
              np.array([[2, 1], [1, 3]])]
     for A in cases:
         dense, sparse = G.factor(A), G.factor(sp.csr_matrix(A))
-        assert sparse.backend == "superlu"
         assert (sparse.singular, sparse.proof) == (dense.singular, dense.proof)
         assert sparse.logabsdet == pytest.approx(dense.logabsdet, rel=1e-12)
     assert [G.factor(A).proof for A in cases] == ["structural-rank", "det-mod-p", None, None]
     # duplicates that cancel leave an explicit zero, which carries no pattern
     cancelled = sp.coo_matrix(([1, 5, -5], ([0, 1, 1], [0, 1, 1])), shape=(2, 2))
     assert G.factor(cancelled).proof == "structural-rank"
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # no module of grdet imports scipy.linalg; the first splu loads it.  Some
+    # older scipy releases load it with scipy.sparse itself, so the check is
+    # that grdet adds nothing to what scipy.sparse loads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, scipy.sparse; before = 'scipy.linalg' in sys.modules; "
+            "import grdet; print(before, 'scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
