@@ -34,7 +34,7 @@ print(f"\nperturbed compression on 10 points: rank defect {pc.rank_defect}, "
 for t in pc.transfers:
     print(f"  tile {t.tile_index}: transfer norm {t.norm:.3f}, "
           f"inverse norm {t.inverse_norm:.3f} (both must stay below 2)")
-print(f"  log|det S| = {G.logabsdet(pc.to_float()):.6f}")
+print(f"  log|det S| = {G.logabsdet(pc.compression):.6f}")
 
 # the random unit-column study: the limit ignores rank-o(|F|) perturbations
 cert = G.certify_invertible(f, "positive-gap")

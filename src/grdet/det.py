@@ -47,9 +47,10 @@ build_perturbed_compression.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -710,14 +711,6 @@ def _walk_primes(coeffs, bound: int) -> tuple:
     return primes
 
 
-def _trace_moments(f: RingElement, count: int) -> list:
-    """Exact m_j = tr((f* f)^j) for j = 0..count, as ints or Fractions."""
-    D, moments = _integer_trace_moments(f, count)
-    if f.domain == ring.INT:
-        return moments
-    return [Fraction(m, D ** (2 * j)) for j, m in enumerate(moments)]
-
-
 def _chebyshev_traces_exact(f: RingElement, a: Fraction, b: Fraction, degree: int) -> list:
     """tr T~_k(f* f) for k <= degree, each rounded once from its exact value.
 
@@ -802,7 +795,9 @@ def fk_poly_trace(f: RingElement, interval, degree: int):
         # the paired Chebyshev recurrence is stable
         t_vals = _chebyshev_traces_float(f, float(a), float(b), degree)
     else:
-        t_vals = _chebyshev_traces_exact(f, Fraction(a), Fraction(b), degree)
+        # Fraction refuses numpy float32 and float16; float() holds them exactly
+        exact = [Fraction(x if isinstance(x, numbers.Rational) else float(x)) for x in (a, b)]
+        t_vals = _chebyshev_traces_exact(f, *exact, degree)
     series = Chebyshev.interpolate(np.log, degree, domain=[float(a), float(b)])
     value = 0.5 * math.fsum(float(ck) * tk for ck, tk in zip(series.coef, t_vals))
     if max(abs(t) for t in t_vals) > 1.0 + 1e-9:
@@ -841,17 +836,22 @@ class TileTransfer:
     inverse_norm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbedCompression:
-    matrix: tuple          # |F| x |F| rows of exact scalars
-    window: FolnerWindow
+    """S, the perturbed compression of f to a quasitiled window, held only as
+    its CompressionMatrix (exact rationals, window order) for logabsdet to
+    factor; matrix builds the exact rows on request.  S - f_F vanishes outside
+    the replaced columns, so rank_defect is the float rank of those alone."""
+
+    compression: CompressionMatrix
     tiling: object         # dynamics.Tiling
     rank_defect: int
     denominator: int
-    transfers: tuple = field(default_factory=tuple)
+    transfers: tuple = ()
 
-    def to_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.matrix], dtype=np.float64)
+    @property
+    def matrix(self) -> tuple:
+        return tuple(map(tuple, self.compression.to_exact_rows()))
 
 
 def _pairwise_reduced(basis: list) -> list:
@@ -938,7 +938,7 @@ def build_perturbed_compression(
     tiles: Sequence[FolnerWindow],
     epsilon: float,
 ):
-    """Perturb f_F to a block-invertible integer-friendly operator.
+    """The compression S that perturbs f_F to a block-invertible operator.
 
     Quasitiles F by the given tiles (pairwise-disjoint mode).  On each
     placed tile W the interior W' = {g : K_f g inside W} carries f itself;
@@ -1019,16 +1019,15 @@ def build_perturbed_compression(
         vals += values
     uncovered = np.flatnonzero(~covered)
     base = compress(ring.ring_element(f.descriptor, f.terms, ring.RATIONAL), F)
-    S = _replace_columns(base, np.concatenate(rows + [uncovered]),
-                         np.concatenate(cols + [uncovered]),
+    cols = np.concatenate(cols + [uncovered])
+    S = _replace_columns(base, np.concatenate(rows + [uncovered]), cols,
                          vals + [Fraction(1)] * len(uncovered))
 
-    diff = S.to_float() - base.to_float()
-    rank_defect = int(np.linalg.matrix_rank(diff)) if np.any(diff) else 0
+    diff = (S.to_csc() - base.to_csc())[:, np.unique(cols)]
+    rank_defect = int(np.linalg.matrix_rank(diff.toarray())) if diff.nnz else 0
     transfers = tuple(shape_data[t_idx][-1] for t_idx in sorted(shape_data))
     return PerturbedCompression(
-        matrix=tuple(tuple(row) for row in S.to_exact_rows()),
-        window=F,
+        compression=S,
         tiling=tiling,
         rank_defect=rank_defect,
         denominator=math.prod(t.denominator for t in transfers),

@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -588,6 +589,14 @@ def test_poly_trace_takes_numpy_degrees():
     assert G.fk_poly_trace(F3, (1, 25), np.int64(10)) == G.fk_poly_trace(F3, (1, 25), 10)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_poly_trace_takes_numpy_float_endpoints(dtype):
+    # Fraction refuses these types; the exact route reads them as the
+    # float64 values they hold exactly, as the complex route does
+    a, b = dtype(0.9), dtype(26)
+    assert G.fk_poly_trace(F3, (a, b), 10) == G.fk_poly_trace(F3, (float(a), float(b)), 10)
+
+
 def test_poly_trace_non_self_adjoint_path():
     f = zpoly({0: 4, 1: 1})  # f* f = 17e + 4u + 4u^-1, spectrum in [9, 25]
     val, bound = G.fk_poly_trace(f, (9, 25), 30)
@@ -657,14 +666,14 @@ def test_build_perturbed_compression_example():
         for x in row:
             assert (x * pc.denominator).denominator == 1
     # S is invertible by construction
-    assert math.isfinite(G.logabsdet(pc.to_float()))
+    assert math.isfinite(G.logabsdet(pc.compression))
 
 
 def test_build_perturbed_compression_identity_symbol():
     F = window_range(10)
     tile = window_range(5)
     pc = G.build_perturbed_compression(G.identity_element(Z1), F, [tile], 0.8)
-    assert math.exp(G.logabsdet(pc.to_float())) == pytest.approx(1.0, rel=1e-12)
+    assert math.exp(G.logabsdet(pc.compression)) == pytest.approx(1.0, rel=1e-12)
     assert pc.rank_defect == 0
 
 
@@ -701,9 +710,7 @@ def test_build_perturbed_compression_randomized_z2():
     for row in pc.matrix:
         for x in row:
             assert (x * pc.denominator).denominator == 1
-    # integer test vectors map to integer images under M * transfer columns
-    S = pc.to_float()
-    assert math.isfinite(G.logabsdet(S))
+    assert math.isfinite(G.logabsdet(pc.compression))
 
 
 def oracle_nullspace(At):
@@ -789,6 +796,20 @@ def test_build_perturbed_compression_keeps_the_benchmark_values(sign, denominato
     f = zpoly({0: 3, 1: 1, -1: sign})
     pc = G.build_perturbed_compression(f, G.folner_window(Z1, 50), [G.folner_window(Z1, 5)], 0.8)
     assert (pc.rank_defect, pc.denominator) == (20, denominator)
+
+
+def test_build_perturbed_compression_stays_sparse_at_scale():
+    # 2001 points, tile 51: S stays a compression and the rank reads only the
+    # replaced columns; dense |F| x |F| rows and differences peaked at 94 MiB
+    tracemalloc.start()
+    try:
+        pc = G.build_perturbed_compression(F3, G.folner_window(Z1, 1000),
+                                           [G.folner_window(Z1, 25)], 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert (pc.rank_defect, pc.denominator) == (90, 18014398509481984)
 
 
 def test_nearly_parallel_smith_kernels_are_reduced_before_rounding():

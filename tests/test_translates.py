@@ -157,14 +157,9 @@ def oracle_perturbed_compression(f, F, tiles, epsilon):
         tr = shape_data[t_idx][3]
         transfers.append(tr)
         denominator *= tr.denominator
-    return det.PerturbedCompression(
-        matrix=tuple(tuple(row) for row in S),
-        window=F,
-        tiling=tiling,
-        rank_defect=rank_defect,
-        denominator=denominator,
-        transfers=tuple(transfers),
-    )
+    return {"matrix": tuple(tuple(row) for row in S), "tiling": tiling,
+            "rank_defect": rank_defect, "denominator": denominator,
+            "transfers": tuple(transfers)}
 
 
 # ---------------------------------------------------------------------- random inputs
@@ -299,6 +294,10 @@ def test_perturbed_compression_matches_elementwise_oracle(desc):
             with pytest.raises(DomainError, match=str(exc).split(":")[0]):
                 G.build_perturbed_compression(f, F, tiles, eps)
             continue
-        assert G.build_perturbed_compression(f, F, tiles, eps) == expected
+        pc = G.build_perturbed_compression(f, F, tiles, eps)
+        # the oracle ranks the dense |F| x |F| difference, pc its replaced columns
+        for name, value in expected.items():
+            assert getattr(pc, name) == value, name
+        assert pc.compression.window == F
         compared += 1
     assert compared >= 5
