@@ -630,7 +630,7 @@ def _pair_walk(desc, coords, C, depth: int, odd: bool, P=None, chebyshev: bool =
     None.  Pairing needs e among the rows (its coefficient may be 0): the
     translates by e place Q_j's rows in Q_j+1's support.
     """
-    arrays = groups.CoordinateArrays(desc)
+    arrays = desc.ops.arrays()
     e = arrays.rows([groups.identity(desc).coords])
     S = arrays.rows(coords)
     if odd:

@@ -12,8 +12,9 @@ Z2 = G.integer_lattice(2)
 H3 = G.heisenberg3()
 C5 = G.cyclic_product([5])
 F2 = G.free_group_rank2()
+DINF = G.parse_descriptor("Dinf")   # the test-only family of conftest.py
 
-ALL_FAMILIES = [Z2, H3, G.cyclic_product([4, 6]), F2]
+ALL_FAMILIES = [Z2, H3, G.cyclic_product([4, 6]), F2, DINF]
 
 
 def rand_element(rng, desc):
@@ -23,6 +24,8 @@ def rand_element(rng, desc):
         return G.GroupElement(desc, tuple(rng.randint(-6, 6) for _ in range(3)))
     if desc.family == "cyclic":
         return G.GroupElement(desc, tuple(rng.randrange(m) for m in desc.params))
+    if desc == DINF:
+        return G.GroupElement(desc, (rng.randint(-6, 6), rng.randrange(2)))
     word = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 8))]
     return G.GroupElement(desc, word)
 
@@ -162,6 +165,14 @@ def test_integer_parameters_are_checked_not_truncated():
     for params in ((1, 2), (), (1.0,), (0,)):
         with pytest.raises(DomainError, match="lattice rank"):
             G.GroupDescriptor("lattice", params)
+    # coordinates too: 1.5 is not truncated to 1, nor 0.5 to 0
+    for desc, c in ((Z1, (1.5,)), (Z2, (1.0, 2)), (H3, (0, 0, 2.5)), (C5, (3.0,)), (F2, (1.0,))):
+        with pytest.raises(DomainError, match="coordinate must be an integer"):
+            G.GroupElement(desc, c)
+        with pytest.raises(DomainError, match="coordinate must be an integer"):
+            G.window_from_coords(desc, [c])
+    with pytest.raises(DomainError, match="coordinate must be an integer"):
+        G.ring_element(Z1, {(0.5,): 3, (0,): 1})
 
 
 def test_cyclic_descriptor_checks_moduli_like_cyclic_product():
@@ -182,7 +193,14 @@ F_SA = G.ring_element(Z1, {(0,): 3, (1,): 1, (-1,): 1})
     (lambda N: G.mahler_grid(F_SA, N), 64),
     (lambda N: G.circulant_logdet(F_SA, N), 8),
     (lambda k: G.power(F_SA, k), 2),
-], ids=["integer_lattice", "GroupDescriptor", "mahler_grid", "circulant_logdet", "power"])
+    (lambda x: G.GroupElement(Z2, (x, -1)), 3),
+    (lambda x: G.GroupElement(H3, (0, x, 1)), 2),
+    (lambda x: G.GroupElement(C5, (x,)), 7),
+    (lambda x: G.GroupElement(F2, (x, 2)), -1),
+    (lambda x: G.ring_element(Z1, {(x,): 3, (0,): 1}), 2),
+], ids=["integer_lattice", "GroupDescriptor", "mahler_grid", "circulant_logdet", "power",
+        "lattice-coordinate", "heisenberg-coordinate", "cyclic-coordinate", "free-letter",
+        "ring-term"])
 def test_integer_parameters_take_numpy_ints_and_refuse_bools(call, value):
     assert call(np.int64(value)) == call(value)
     for bad in (True, float(value), str(value)):
@@ -200,10 +218,11 @@ def test_cyclic_coordinates_of_the_wrong_length_are_refused():
 
 
 def test_wide_window_constructs_and_builds_elements_on_request():
-    # a window whose key box exceeds int64 still constructs; only the
-    # array paths that need its keys refuse it
+    # a window whose coordinate box exceeds int64 keys constructs, and the
+    # array paths key it by the ranks of its values
     far = G.window_from_coords(Z2, [(0, 0), (2 ** 31, 2 ** 31)])
     assert len(far) == 2 and G.GroupElement(Z2, (2 ** 31, 2 ** 31)) in far
+    assert G.boundary_ratio(far, [G.GroupElement(Z2, (0, 1))]) == 2
     w = G.folner_window(H3, 2)
     assert "elements" not in vars(w)
     assert w.elements[0] == G.GroupElement(H3, (-2, -2, -4)) and w.index[w.elements[-1]] == len(w) - 1
@@ -279,7 +298,7 @@ def test_boundary_ratio_vanishes_along_windows():
 
 
 def test_descriptor_strings():
-    for desc in [Z1, Z2, H3, C5, G.cyclic_product([2, 3, 4]), F2]:
+    for desc in [Z1, Z2, H3, C5, G.cyclic_product([2, 3, 4]), F2, DINF]:
         assert G.parse_descriptor(G.descriptor_string(desc)) == desc
     with pytest.raises(G.FormatError):
         G.parse_descriptor("Q^2")

@@ -22,6 +22,7 @@ Z2 = G.integer_lattice(2)
 H3 = G.heisenberg3()
 C46 = G.cyclic_product([4, 6])
 F2 = G.free_group_rank2()
+DINF = G.parse_descriptor("Dinf")   # the test-only family of conftest.py
 
 
 # ---------------------------------------------------------------------- oracles
@@ -156,6 +157,10 @@ EXACT = [
     ("f2-nsa", el(F2, {(): 6, (1, 2): 1, (-2,): -2}), 8),
     # no identity term: the supports of its powers are not nested
     ("z1-sa-no-e", el(Z1, {(1,): 1, (-1,): 1, (2,): 2, (-2,): 2}), 20),
+    # supports spread past 2^62 keys: the walk keys them by rank
+    ("z2-wide", el(Z2, {(0, 0): 5, (2 ** 40, 0): 1, (0, -2 ** 40): 2, (1, 1): -1}), 12),
+    # a family defined only in the tests: the walk and compressions take it unchanged
+    ("dinf-nsa", el(DINF, {(0, 0): 5, (1, 0): 1, (0, 1): -2, (-2, 1): 1}), 20),
 ]
 
 
@@ -262,6 +267,7 @@ WINDOWS = {
          G.window_from_coords(H3, [(i, j, k) for i in range(3) for j in range(-2, 1) for k in range(4, -i - 1, -1)])],
     C46: [G.folner_window(C46, 1), G.window_from_coords(C46, [(i, (5 * i) % 6) for i in range(4)])],
     F2: [G.window_from_coords(F2, [(), (1,), (2,), (1, 2), (-1,), (2, 2), (-2, 1)])],
+    DINF: [G.folner_window(DINF, 3), G.window_from_coords(DINF, [(k, k % 3 % 2) for k in range(-4, 6)])],
 }
 
 
@@ -295,7 +301,7 @@ def test_sparse_view_is_canonical_and_matches_loop(f):
 
 def test_key_index_finds_rows_and_misses_the_rest():
     rng = random.Random(7)
-    arrays = groups.CoordinateArrays(H3)
+    arrays = H3.ops
     pts = list({tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(300)})
     index = groups.KeyIndex(arrays.rows(pts))
     assert index.find(arrays.rows(pts)).tolist() == list(range(len(pts)))
@@ -313,7 +319,12 @@ def test_translation_overflow_raises(monkeypatch):
     F = G.window_from_coords(H3, [(0, big, 0), (0, 0, 0)])
     with pytest.raises(ScaleExceeded):
         G.compress(f, F)
-    # a window whose bounding box holds more than 2^62 keys
+    # a window whose bounding box holds more than 2^62 keys is keyed by
+    # ranks; only one whose ranks overflow too is refused
     far = G.window_from_coords(Z2, [(0, 0), (2 ** 31, 2 ** 31)])
+    M = G.compress(el(Z2, {(0, 0): 1, (1, 0): 1}), far)
+    assert (M.rows.tolist(), M.cols.tolist()) == ([0, 1], [0, 1])
+    Z32 = G.integer_lattice(32)
+    spread = G.window_from_coords(Z32, [(2 ** 40 * i,) * 32 for i in range(4)])
     with pytest.raises(ScaleExceeded):
-        G.compress(el(Z2, {(0, 0): 1}), far)
+        G.compress(el(Z32, {(0,) * 32: 1}), spread)

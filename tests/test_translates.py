@@ -23,6 +23,7 @@ Z2 = G.integer_lattice(2)
 H3 = G.heisenberg3()
 C46 = G.cyclic_product([4, 6])
 F2 = G.free_group_rank2()
+DINF = G.parse_descriptor("Dinf")   # the test-only family of conftest.py
 
 
 # ---------------------------------------------------------------------- oracles
@@ -172,6 +173,8 @@ def region(desc):
         coords = itertools.product(range(-1, 2), range(-1, 2), range(-2, 3))
     elif desc.family == groups.CYCLIC:
         coords = itertools.product(*(range(m) for m in desc.params))
+    elif desc == DINF:
+        coords = itertools.product(range(-6, 7), range(2))
     else:
         coords = (w for k in range(4) for w in itertools.product((1, -1, 2, -2), repeat=k))
     return sorted({G.GroupElement(desc, c) for c in coords}, key=lambda g: g.sort_key())
@@ -198,7 +201,7 @@ def box_window(desc, corner, sides):
 
 # ---------------------------------------------------------------------- boundary ratios
 
-@pytest.mark.parametrize("desc", [Z1, Z2, H3, C46, F2], ids=str)
+@pytest.mark.parametrize("desc", [Z1, Z2, H3, C46, F2, DINF], ids=str)
 @pytest.mark.parametrize("with_identity", [True, False])
 def test_boundary_ratio_matches_set_oracle(desc, with_identity):
     rng = random.Random(f"{desc}-{with_identity}")
@@ -208,7 +211,7 @@ def test_boundary_ratio_matches_set_oracle(desc, with_identity):
         assert G.boundary_ratio(F, K) == oracle_boundary_ratio(F, K)
 
 
-@pytest.mark.parametrize("desc", [Z1, Z2, H3], ids=str)
+@pytest.mark.parametrize("desc", [Z1, Z2, H3, DINF], ids=str)
 @pytest.mark.parametrize("with_identity", [True, False])
 def test_box_boundary_ratio_matches_set_oracle(desc, with_identity):
     rng = random.Random(f"box-{desc}-{with_identity}")
@@ -223,6 +226,29 @@ def test_box_boundary_ratio_matches_set_oracle(desc, with_identity):
         assert G.boundary_ratio(shuffled, K) == expected
 
 
+@pytest.mark.parametrize("desc", [Z2, G.integer_lattice(3), H3], ids=str)
+def test_wide_sparse_windows_match_oracles(desc, monkeypatch):
+    # clusters far apart: their coordinate box holds far more than 2^62
+    # keys, so the window, its translates and their outside parts are keyed
+    # by the ranks of their values (H3's x and y stay below 2^21, so that
+    # x y does not leave int64)
+    rng = random.Random(f"wide-{desc}")
+    scales = [2 ** 20, 2 ** 20, 2 ** 40] if desc == H3 else [2 ** 40] * desc.params[0]
+    for _ in range(6):
+        centres = [tuple(rng.randint(-3, 3) * a for a in scales) for _ in range(3)]
+        offsets = [tuple(rng.randint(-2, 2) for _ in c) for c in centres for _ in range(8)]
+        pts = {tuple(a + b for a, b in zip(rng.choice(centres), o)) for o in offsets}
+        F = G.window_from_coords(desc, sorted(pts))
+        K = random_K(rng, desc, True)
+        assert G.boundary_ratio(F, K) == oracle_boundary_ratio(F, K)
+        S = [k.coords for k in K] + [g.coords for g in rng.sample(F.elements, 2)]
+        monkeypatch.setattr(groups, "_SMALL_TRANSLATES", 0)
+        arrays = groups.window_translates(F, S)
+        assert F.key_index.values is not None
+        monkeypatch.setattr(groups, "_SMALL_TRANSLATES", 10 ** 9)
+        assert np.array_equal(arrays, groups.window_translates(F, S))
+
+
 # ---------------------------------------------------------------------- quasitiling
 
 QUASITILE_CASES = [
@@ -232,6 +258,7 @@ QUASITILE_CASES = [
     (Z2, 6, [(4, 2), (2, 2)]),
     (H3, 2, [(2, 2, 3), (1, 2, 2)]),
     (C46, 1, [(2, 3), (1, 2)]),
+    (DINF, 6, [(3, 2), (2, 1), (1, 2)]),
 ]
 
 
