@@ -19,7 +19,10 @@ Five routes to determinant data live here:
                         run on the Hermite basis modulo |det| of a large
                         nonsingular square block, so that the transforms
                         are bounded through |det| rather than by the pivot
-                        sequence; every update skips zero multiplicands;
+                        sequence; A's rows are dense and its updates skip
+                        zero multiplicands, while U, V and V^-1 are held
+                        as {column: value} rows whose updates touch only
+                        their nonzeros, made dense once on return;
   * fk_finite_sections / fk_poly_trace
                      -- the two approximation schemes for the
                         Fuglede-Kadison determinant of an invertible
@@ -187,6 +190,8 @@ class SnfResult:
 
     When transforms are kept, M = U . diag(divisors) . V with U, V
     unimodular; v_inverse is V^-1 (handy for enumerating dual solutions).
+    u, v and v_inverse are dense tuples of int tuples, row by row, built
+    once from the sparse rows snf works on.
     """
 
     divisors: tuple
@@ -197,17 +202,53 @@ class SnfResult:
 
 
 def _axpy(X: list, i: int, j: int, q: int):
-    """X[i] += q X[j], skipping the zeros of X[j]."""
+    """X[i] += q X[j] on dense rows (snf's A), skipping the zeros of X[j]."""
     Xi = X[i]
     for t, x in enumerate(X[j]):
         if x:
             Xi[t] += q * x
 
 
+def _sparse_axpy(X: list, i: int, j: int, q: int):
+    """X[i] += q X[j] on {column: value} rows: touches only X[j]'s nonzeros
+    and drops the entries of X[i] that cancel to 0."""
+    Xi = X[i]
+    get = Xi.get
+    for t, x in X[j].items():
+        v = get(t, 0) + q * x
+        if v:
+            Xi[t] = v
+        else:
+            del Xi[t]
+
+
+def _sparse_matmul(X: list, Y: list) -> list:
+    """X Y for lists of {column: value} rows, X's columns indexing Y's rows."""
+    out = []
+    for row in X:
+        acc = {}
+        for b, c in row.items():
+            for t, y in Y[b].items():
+                acc[t] = acc.get(t, 0) + c * y
+        out.append({t: v for t, v in acc.items() if v})
+    return out
+
+
+def _dense_transpose(X: list, n: int) -> tuple:
+    """The n x len(X) matrix whose column i is the map X[i], as int tuples."""
+    T = [[0] * len(X) for _ in range(n)]
+    for i, row in enumerate(X):
+        for t, x in row.items():
+            T[t][i] = x
+    return tuple(map(tuple, T))
+
+
 class _SnfState:
     """A = U^-1 M V^-1 under row and column operations.  U and V^-1 are kept
     transposed (Ut, Wt), so that every update of A, U, V and V^-1 is a row
-    swap, a row negation or a row update that skips zero multiplicands."""
+    swap, a row negation or a row update.  A's rows are dense lists; the rows
+    of Ut, V and Wt start from the identity as {column: value} maps holding
+    only their nonzeros, since after the unit pivots most entries stay 0."""
 
     def __init__(self, M, transforms: bool):
         self.A = _int_rows(M, "snf")
@@ -215,9 +256,9 @@ class _SnfState:
         self.n = len(self.A[0]) if self.m else 0
         self.transforms = transforms
         if transforms:
-            self.Ut = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
-            self.V = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
-            self.Wt = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+            self.Ut = [{i: 1} for i in range(self.m)]
+            self.V = [{i: 1} for i in range(self.n)]
+            self.Wt = [{i: 1} for i in range(self.n)]
 
     # row ops on A are E.A; U absorbs E^-1 on the right so M = U A V holds
     def swap_rows(self, i, j):
@@ -230,7 +271,7 @@ class _SnfState:
     def negate_row(self, i):
         self.A[i] = [-x for x in self.A[i]]
         if self.transforms:
-            self.Ut[i] = [-x for x in self.Ut[i]]
+            self.Ut[i] = {t: -x for t, x in self.Ut[i].items()}
 
     def addmul_row(self, i, j, q):
         # row_i += q * row_j
@@ -238,7 +279,7 @@ class _SnfState:
             return
         _axpy(self.A, i, j, q)
         if self.transforms:
-            _axpy(self.Ut, j, i, -q)
+            _sparse_axpy(self.Ut, j, i, -q)
 
     # col ops on A are A.E; V absorbs E^-1 on the left, V^-1 absorbs E
     def swap_cols(self, i, j):
@@ -259,8 +300,8 @@ class _SnfState:
             if Ar[j]:
                 Ar[i] += q * Ar[j]
         if self.transforms:
-            _axpy(self.V, j, i, -q)
-            _axpy(self.Wt, i, j, q)
+            _sparse_axpy(self.V, j, i, -q)
+            _sparse_axpy(self.Wt, i, j, q)
 
 
 def _snf_pivot(st: _SnfState, s: int):
@@ -401,11 +442,6 @@ def _hermite_mod(B: list, delta: int) -> list:
     return H
 
 
-def _matmul(X: list, Y: list) -> list:
-    cols = list(zip(*Y))
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in X]
-
-
 def _hermite_steps(st: _SnfState, s: int, delta: int):
     """Phase 2 on the nonsingular trailing block B = A[s:, s:], |det B| = delta.
 
@@ -431,24 +467,27 @@ def _hermite_steps(st: _SnfState, s: int, delta: int):
             y[b] = (brow[b] - sum(y[a] * H[a][b] for a in range(b + 1, k))) // H[b][b]
         Y.append(y)
     # U[:, s:] Y U_h, V_h V[s:] and V^-1[:, s:] V_h^-1, on the transposes
-    st.Ut[s:] = _matmul(_matmul(block.Ut, list(zip(*Y))), st.Ut[s:])
-    st.V[s:] = _matmul(block.V, st.V[s:])
-    st.Wt[s:] = _matmul(block.Wt, st.Wt[s:])
+    Yt = [{a: y[c] for a, y in enumerate(Y) if y[c]} for c in range(k)]
+    st.Ut[s:] = _sparse_matmul(_sparse_matmul(block.Ut, Yt), st.Ut[s:])
+    st.V[s:] = _sparse_matmul(block.V, st.V[s:])
+    st.Wt[s:] = _sparse_matmul(block.Wt, st.Wt[s:])
 
 
 # Smaller trailing blocks go to the pivoting loop as they are.  Timed on a
-# 2-core x86-64 host against that loop alone (minimum of 7 calls), with
-# transforms / without, the Hermite phase took 1.7-4.8x / 1.6-2.7x the loop's
-# time (under 0.5 ms more) on the 1- to 8-row blocks of the finite workload's
-# chain compressions (seed 5), and 1.6-4.6x / 1.6-2.5x (under 1.7 ms more) on
-# unit-free circulants of 8 to 16 points, where pivoting stays cheap.  On
-# dense random unit-free blocks of 8 to 16 rows it took 0.74-1.7x / 1.3-2.1x,
-# and it still does not gain on them at 20 rows.  It gains on blocks left
-# after unit steps: 0.37-0.64x / 0.62-0.92x on the 10- to 14-row blocks of the
-# (Z/m)^2 compressions of 6 + x - x^-1 + y - y^-1 + xy at m = 5..7, and
-# 0.13-0.41x / 0.42-0.65x on the 16- to 24-row blocks of the finite/snf-m x m
+# 2-core x86-64 host against that loop alone (minimum of 7 calls, the same
+# blocks in both modes, transforms on sparse rows), with transforms / without,
+# the Hermite phase took 2.6-11x / 1.7-5.9x the loop's time (under 0.3 ms
+# more) on the 1- to 8-row blocks of the finite workload's chain compressions
+# (seed 5), and 1.2-5.2x / 1.5-3.3x (under 0.9 ms more) on unit-free
+# circulants of 8 to 16 points, where pivoting stays cheap.  On dense random
+# unit-free blocks of 8 to 16 rows it took 0.63-1.7x / 1.3-2.0x, and at 20
+# rows 0.32-0.55x / 1.2x.  It gains on blocks left after unit steps:
+# 0.20-0.36x / 0.44-0.74x on the 10- to 14-row blocks of the (Z/m)^2
+# compressions of 6 + x - x^-1 + y - y^-1 + xy at m = 5..7, and
+# 0.07-0.20x / 0.28-0.49x on the 16- to 24-row blocks of the finite/snf-m x m
 # inputs.  At 12, the chain blocks stay below the threshold and the snf-m x m
-# blocks lie above it.
+# blocks lie above it.  Any value but 11 or 12 changes U, V and V^-1 on the
+# (Z/m)^2 compressions that tests/test_det.py pins.
 _HERMITE_MIN_BLOCK = 12
 
 
@@ -466,6 +505,12 @@ def snf(M, transforms: bool = True) -> SnfResult:
     Pivoting on the block itself lets the transforms grow to thousands of
     bits where |det| has hundreds.  Both transform modes take the same
     phases.  All arithmetic is arbitrary precision.
+
+    With transforms, U, V and V^-1 are kept as rows of {column: value} maps
+    from the identity on: a swap exchanges two maps, and a negation or a
+    row update touches only a row's nonzeros (most of them stay 0 through
+    phase 1), as does the Hermite phase's composition with the block's own
+    transforms.  They become the dense tuples of the SnfResult only here.
     """
     rows = [list(r) for r in M]
     if not rows or not rows[0]:
@@ -486,8 +531,9 @@ def snf(M, transforms: bool = True) -> SnfResult:
     divisors = tuple(st.A[i][i] for i in range(min(st.m, st.n)))
     if not transforms:
         return SnfResult(divisors, st.m)
-    return SnfResult(divisors, st.m, u=tuple(zip(*st.Ut)), v=tuple(map(tuple, st.V)),
-                     v_inverse=tuple(zip(*st.Wt)))
+    return SnfResult(divisors, st.m, u=_dense_transpose(st.Ut, st.m),
+                     v=tuple(zip(*_dense_transpose(st.V, st.n))),
+                     v_inverse=_dense_transpose(st.Wt, st.n))
 
 
 def quotient_order(r: SnfResult):

@@ -19,6 +19,9 @@ one gather of its coefficients' residues.  Whatever stays flagged reports
 log|det| = -inf.  A matrix proved nonsingular whose float elimination met an
 exactly zero pivot raises ScaleExceeded, since float64 cannot read its
 determinant.
+
+scipy.sparse is imported where it is used, so that a process that never
+factors (the exact Smith and dual routes) loads no scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import sys
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, ScaleExceeded
 from . import ring
@@ -102,6 +104,8 @@ class Factorization:
 
 def factor(M) -> Factorization:
     """Factor a CompressionMatrix, a dense array or a scipy sparse matrix."""
+    import scipy.sparse as sp   # on first use, so that import grdet loads no scipy
+
     if hasattr(M, "to_csc"):  # a CompressionMatrix (sections imports this module)
         exact = (M.rows, M.cols, M.coeffs, M.term) if M.domain == ring.INT else None
         A = M.to_csc()
@@ -125,7 +129,10 @@ def factor(M) -> Factorization:
     return _superlu(A, exact)
 
 
-def _superlu(A: sp.csc_matrix, exact) -> Factorization:
+def _superlu(A, exact) -> Factorization:
+    """SuperLU's factors of the square CSC matrix A."""
+    import scipy.sparse as sp
+
     if A.shape[0] == 0:
         return Factorization(A, None, None, 0.0, None)
     try:
@@ -147,6 +154,8 @@ def _settle_exactly(n: int, rows, cols, coeffs, term) -> Optional[str]:
     entry (rows[k], cols[k]) is coeffs[term[k]]: "structural-rank" proves it
     singular, "det-mod-p" proves it nonsingular, None leaves it flagged.
     """
+    import scipy.sparse as sp
+
     pattern = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     if sp.csgraph.structural_rank(pattern) < n:
         return "structural-rank"

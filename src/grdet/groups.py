@@ -411,6 +411,11 @@ class GroupElement:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so that _hash is computed in the
+        # loading process: hashes of strings differ between processes
+        return GroupElement, (self.descriptor, self.coords)
+
     def __hash__(self):
         return self._hash
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DescriptorMismatch, DomainError
 from . import groups, ring
@@ -84,8 +83,11 @@ class CompressionMatrix:
         M[self.rows, self.cols] = vals
         return M
 
-    def to_csc(self) -> sp.csc_matrix:
-        """The sparse float view in canonical form: rows ascending in each column."""
+    def to_csc(self):
+        """The sparse float view, a scipy.sparse.csc_matrix in canonical form:
+        rows ascending in each column."""
+        import scipy.sparse as sp   # on first use, so that import grdet loads no scipy
+
         # compress emits the triples column by column, and on lattice and H3
         # windows with rows ascending too, so the stable sort is linear there
         order = np.argsort(self.cols * self.n + self.rows, kind="stable")
@@ -268,6 +270,8 @@ def sigma_min_estimate(M) -> float:
     SuperLU solves, which raises ArpackNoConvergence rather than return an
     unconverged value.
     """
+    import scipy.sparse as sp   # factor has loaded it
+
     fac = factor(M)
     n = fac.n
     if n == 0:

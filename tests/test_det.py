@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import operator
 import random
@@ -483,6 +484,83 @@ def test_hermite_mod_reduces_found_rows_exactly(monkeypatch):
     assert _check_hermite(B) == [[6, 0], [3, 2]]
     monkeypatch.setattr(det, "_HERMITE_MIN_BLOCK", 1)
     assert _check_snf_contract(B).divisors == (1, 12)
+
+
+def _pinned_random_matrices():
+    """300 seeded inputs of up to 20 rows, in turn square, rectangular,
+    singular and unit-free (a trailing block without +-1 after the units)."""
+    rng = random.Random(2700)
+    out = []
+    for i in range(300):
+        kind = i % 4
+        if kind == 0:
+            n = rng.randint(1, 20)
+            M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        elif kind == 1:
+            m, n = rng.sample(range(1, 21), 2)
+            M = [[rng.choice([0, 0, 1, -2, 3, -4, 6]) for _ in range(n)] for _ in range(m)]
+        elif kind == 2:
+            n, r = rng.randint(2, 20), rng.randint(0, 6)
+            r = min(r, n - 1)
+            X = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+            Y = [[rng.randint(-3, 3) * rng.choice([1, 2, 6]) for _ in range(n)]
+                 for _ in range(r)]
+            M = [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] if r else [0] * n
+                 for row in X]
+        else:
+            n = rng.randint(1, 20)
+            M = _nonunit_matrix(rng, n, rng.randint(0, max(0, n - 12)))
+        out.append(M)
+    return out
+
+
+def _demo_04_tile_matrices(monkeypatch):
+    """The tile restrictions build_perturbed_compression hands to snf on
+    demo 04's instance: 3 + u + u^-1 on 10 points, tiles of 5, epsilon 0.8."""
+    seen = []
+    snf = det.snf
+
+    def record(M, transforms=True):
+        seen.append([list(row) for row in M])
+        return snf(M, transforms)
+
+    monkeypatch.setattr(det, "snf", record)
+    G.build_perturbed_compression(F3, window_range(10), [window_range(5)], 0.8)
+    monkeypatch.setattr(det, "snf", snf)
+    assert seen
+    return seen
+
+
+# sha256 over repr((divisors, u, v, v_inverse)) of snf(M, True) and over
+# repr(divisors) of snf(M, False), input by input: any change to a divisor or
+# to an entry of U, V or V^-1 changes it
+SNF_PINS = {
+    "family":
+        "f045ad57ad1f07c4399b2f86906a2ab2aea5a52446a4f29d9186cce224dbf66f",
+    "random-min-block-12":
+        "7a1830c567cb4f8619c03d9890612ed776edfbd45c02595ae367e56ee3dab587",
+    "random-min-block-1":
+        "52c6bfcb926955f8b81289a075b7a5067082d02668d5a8bd5f8744d762bef820",
+    "demo-04-tiles":
+        "c92a94bf28f24c2c6fbfb05f1e8607884b5c5bcee4e9b1c67aeb5305a2feb792",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SNF_PINS))
+def test_snf_transforms_are_pinned(monkeypatch, case):
+    if case == "family":
+        matrices = [family_compression(m) for m in range(5, 13)]
+    elif case == "demo-04-tiles":
+        matrices = _demo_04_tile_matrices(monkeypatch)
+    else:
+        monkeypatch.setattr(det, "_HERMITE_MIN_BLOCK", int(case.rsplit("-", 1)[1]))
+        matrices = _pinned_random_matrices()
+    h = hashlib.sha256()
+    for M in matrices:
+        r = G.snf(M, True)
+        h.update(repr((r.divisors, r.u, r.v, r.v_inverse)).encode())
+        h.update(repr(G.snf(M, False).divisors).encode())
+    assert h.hexdigest() == SNF_PINS[case]
 
 
 # ---------------------------------------------------------------------- finite sections

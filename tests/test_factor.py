@@ -309,13 +309,29 @@ def test_import_leaves_scipy_linalg_unloaded():
     # no module of grdet imports scipy.linalg; the first splu loads it.  Some
     # older scipy releases load it with scipy.sparse itself, so the check is
     # that grdet adds nothing to what scipy.sparse loads
+    before, after = _python_prints("import sys, scipy.sparse; before = 'scipy.linalg' in sys.modules; "
+                                   "import grdet; print(before, 'scipy.linalg' in sys.modules)")
+    assert after == before
+
+
+def test_exact_routes_leave_scipy_unloaded():
+    # factorization and sections import scipy.sparse where they use it, so
+    # importing grdet and the exact routes load no scipy; factor does
+    code = ("import sys; loaded = lambda: 'scipy.sparse' in sys.modules; "
+            "import grdet as G; seen = [loaded()]; "
+            "G.snf([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]); seen.append(loaded()); "
+            "desc = G.cyclic_product([6]); "
+            "G.solve_dual_finite(G.ring_element(desc, {(0,): 3, (1,): 1}), desc); "
+            "seen.append(loaded()); G.factor([[2.0]]); seen.append(loaded()); print(*seen)")
+    assert _python_prints(code) == ["False", "False", "False", "True"]
+
+
+def _python_prints(code: str) -> list:
+    """The words a fresh interpreter with grdet's src on its path prints."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = ("import sys, scipy.sparse; before = 'scipy.linalg' in sys.modules; "
-            "import grdet; print(before, 'scipy.linalg' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    before, after = proc.stdout.split()
-    assert after == before
+    return proc.stdout.split()

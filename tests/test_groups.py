@@ -1,10 +1,16 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import grdet as G
+from grdet import groups
 from grdet.errors import DomainError, UnsupportedFamily
 
 Z1 = G.integer_lattice(1)
@@ -302,3 +308,38 @@ def test_descriptor_strings():
         assert G.parse_descriptor(G.descriptor_string(desc)) == desc
     with pytest.raises(G.FormatError):
         G.parse_descriptor("Q^2")
+
+
+@pytest.mark.parametrize("desc", ALL_FAMILIES, ids=G.descriptor_string)
+def test_elements_rings_and_windows_pickle(desc):
+    assert {d.family for d in ALL_FAMILIES} == set(groups.FAMILIES)
+    rng = random.Random(31)
+    g = rand_element(rng, desc)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g) and back in {g: 0}
+    f = G.ring_element(desc, {g.coords: 3, G.identity(desc).coords: 1})
+    back = pickle.loads(pickle.dumps(f))
+    assert back == f and back.coefficient(g) == f.coefficient(g)
+    coords = [G.identity(desc).coords] + [rand_element(rng, desc).coords for _ in range(6)]
+    W = G.window_from_coords(desc, list(dict.fromkeys([g.coords] + coords)))
+    assert W.index[g] == 0          # pickled with its cached index
+    back = pickle.loads(pickle.dumps(W))
+    assert back == W and back.elements == W.elements and back.index[g] == 0
+
+
+def test_a_pickled_element_is_found_under_another_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+    g = G.GroupElement(H3, (1, 2, 3))
+    f = G.ring_element(H3, {g.coords: 3, (0, 0, 0): 1})
+    code = ("import pickle, sys, grdet as G; g, f = pickle.loads(sys.stdin.buffer.read()); "
+            "h = G.GroupElement(G.heisenberg3(), (1, 2, 3)); "
+            "print({h: 7}.get(g), f.coefficient(h), hash('heisenberg'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, input=pickle.dumps((g, f)),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    found, coefficient, string_hash = proc.stdout.split()
+    assert int(string_hash) != hash("heisenberg")   # the seeds do differ
+    assert (int(found), int(coefficient)) == (7, 3)
